@@ -76,7 +76,7 @@ def _cmd_list(args) -> int:
     print("methods:")
     for spec in available_methods():
         print(f"  {spec}")
-    print("experiments: fig2 fig3 fig4 fig6 fig7 table1 table2 table3 table4 table5")
+    print("experiments: " + " ".join(_EXPERIMENTS))
     return 0
 
 
@@ -88,13 +88,25 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-def _cmd_decluster(args) -> int:
+def _deploy(args):
+    """Load ``args.name``, build its grid file, decluster it over ``--disks``."""
+    from repro.obs import PROFILER
+
     ds = load(args.name, rng=args.seed)
     gf = build_gridfile(ds)
     method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    queries = square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
-    ev = evaluate_queries(gf, assignment, queries, args.disks)
+    with PROFILER.phase(f"assign.{method.name}"):
+        assignment = method.assign(gf, args.disks, rng=args.seed)
+    return ds, gf, method, assignment
+
+
+def _square_queries(args, ds):
+    return square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
+
+
+def _cmd_decluster(args) -> int:
+    ds, gf, method, assignment = _deploy(args)
+    ev = evaluate_queries(gf, assignment, _square_queries(args, ds), args.disks)
     balance = degree_of_data_balance(assignment, args.disks, gf.bucket_sizes())
     print(f"dataset            : {ds.name} ({gf.stats()})")
     print(f"method             : {method.name}")
@@ -109,71 +121,98 @@ def _cmd_decluster(args) -> int:
     return 0
 
 
-def _maybe_plot(args, sweep, title: str) -> None:
-    if getattr(args, "plot", False):
-        from repro._util import line_chart
+def _exp_fig2(args) -> None:
+    if not args.plot:
+        for name, stats in fig2_gridfiles(rng=args.seed).items():
+            print(f"{name}: {stats}")
+        return
+    from repro.experiments.report import ascii_gridfile_map
 
-        print(line_chart(sweep.disks, sweep.response_series(), title=title))
+    for name in ("uniform.2d", "hot.2d", "correl.2d"):
+        gf = build_gridfile(load(name, rng=args.seed))
+        print(f"--- {name} ---")
+        print(ascii_gridfile_map(gf, max_width=60))
         print()
+
+
+def _exp_sweeps(run, figure: str, setting: str, plot: bool):
+    """Experiment printing one response sweep per dataset/base method."""
+
+    def exp(args) -> None:
+        for name, sweep in run(rng=args.seed, quick=args.quick, jobs=args.jobs).items():
+            print(render_sweep(sweep, f"Figure {figure} ({name}, {setting})"))
+            if plot and args.plot:
+                from repro._util import line_chart
+
+                print(line_chart(sweep.disks, sweep.response_series(),
+                                 title=f"Figure {figure} ({name})"))
+                print()
+            print()
+
+    return exp
+
+
+def _exp_fig7(args) -> None:
+    res = fig7_querysize(rng=args.seed, quick=args.quick, jobs=args.jobs)
+    resp = {f"{m} r={r}": v for (m, r), v in res.response.items()}
+    spd = {f"{m} r={r}": list(v) for (m, r), v in res.speedup.items()}
+    print(series_text("disks", res.disks, resp, title="Figure 7 (response, stock.3d)"))
+    print()
+    print(series_text("disks", res.disks, spd, title="Figure 7 (speedup, stock.3d)"))
+
+
+def _exp_table1(args) -> None:
+    sweep = table1_balance(rng=args.seed, quick=args.quick, jobs=args.jobs)
+    print(render_sweep(sweep, "Table 1 (degree of data balance, hot.2d)", metric="balance"))
+
+
+def _exp_pairs(number: str, dataset: str):
+    def exp(args) -> None:
+        sweep = table23_closest_pairs(dataset, rng=args.seed, quick=args.quick, jobs=args.jobs)
+        print(render_sweep(
+            sweep, f"Table {number} (closest pairs on same disk, {dataset})", metric="pairs"
+        ))
+
+    return exp
+
+
+def _exp_cluster(run, title: str):
+    def exp(args) -> None:
+        rows = run(n_records=60_000 if args.quick else 300_000, rng=args.seed)
+        print(render_cluster_rows(rows, title))
+
+    return exp
+
+
+#: Experiment id -> runner; ``list`` and the ``experiment`` help derive from it.
+_EXPERIMENTS = {
+    "fig2": _exp_fig2,
+    "fig3": _exp_sweeps(fig3_conflict, "3", "hot.2d, r=0.05", plot=False),
+    "fig4": _exp_sweeps(fig4_index_based, "4", "r=0.05", plot=True),
+    "fig6": _exp_sweeps(fig6_minimax, "6", "r=0.01", plot=True),
+    "fig7": _exp_fig7,
+    "table1": _exp_table1,
+    "table2": _exp_pairs("2", "dsmc.3d"),
+    "table3": _exp_pairs("3", "stock.3d"),
+    "table4": _exp_cluster(table4_animation, "Table 4 (animation queries, simulated SP-2)"),
+    "table5": _exp_cluster(table5_random, "Table 5 (random range queries, simulated SP-2)"),
+}
 
 
 def _cmd_experiment(args) -> int:
-    exp = args.id.lower()
-    quick = args.quick
-    seed = args.seed
-    jobs = args.jobs
-    if exp == "fig2":
-        if getattr(args, "plot", False):
-            from repro.datasets import build_gridfile as _build, load as _load
-            from repro.experiments.report import ascii_gridfile_map
-
-            for name in ("uniform.2d", "hot.2d", "correl.2d"):
-                gf = _build(_load(name, rng=seed))
-                print(f"--- {name} ---")
-                print(ascii_gridfile_map(gf, max_width=60))
-                print()
-        else:
-            for name, stats in fig2_gridfiles(rng=seed).items():
-                print(f"{name}: {stats}")
-    elif exp == "fig3":
-        for base, sweep in fig3_conflict(rng=seed, quick=quick, jobs=jobs).items():
-            print(render_sweep(sweep, f"Figure 3 ({base}, hot.2d, r=0.05)"))
-            print()
-    elif exp == "fig4":
-        for name, sweep in fig4_index_based(rng=seed, quick=quick, jobs=jobs).items():
-            print(render_sweep(sweep, f"Figure 4 ({name}, r=0.05)"))
-            _maybe_plot(args, sweep, f"Figure 4 ({name})")
-            print()
-    elif exp == "fig6":
-        for name, sweep in fig6_minimax(rng=seed, quick=quick, jobs=jobs).items():
-            print(render_sweep(sweep, f"Figure 6 ({name}, r=0.01)"))
-            _maybe_plot(args, sweep, f"Figure 6 ({name})")
-            print()
-    elif exp == "fig7":
-        res = fig7_querysize(rng=seed, quick=quick, jobs=jobs)
-        resp = {f"{m} r={r}": v for (m, r), v in res.response.items()}
-        spd = {f"{m} r={r}": list(v) for (m, r), v in res.speedup.items()}
-        print(series_text("disks", res.disks, resp, title="Figure 7 (response, stock.3d)"))
-        print()
-        print(series_text("disks", res.disks, spd, title="Figure 7 (speedup, stock.3d)"))
-    elif exp == "table1":
-        sweep = table1_balance(rng=seed, quick=quick, jobs=jobs)
-        print(render_sweep(sweep, "Table 1 (degree of data balance, hot.2d)", metric="balance"))
-    elif exp in ("table2", "table3"):
-        dataset = "dsmc.3d" if exp == "table2" else "stock.3d"
-        sweep = table23_closest_pairs(dataset, rng=seed, quick=quick, jobs=jobs)
-        print(render_sweep(sweep, f"Table {exp[-1]} (closest pairs on same disk, {dataset})", metric="pairs"))
-    elif exp == "table4":
-        n = 60_000 if quick else 300_000
-        rows = table4_animation(n_records=n, rng=seed)
-        print(render_cluster_rows(rows, "Table 4 (animation queries, simulated SP-2)"))
-    elif exp == "table5":
-        n = 60_000 if quick else 300_000
-        rows = table5_random(n_records=n, rng=seed)
-        print(render_cluster_rows(rows, "Table 5 (random range queries, simulated SP-2)"))
-    else:
+    exp = _EXPERIMENTS.get(args.id.lower())
+    if exp is None:
         print(f"unknown experiment {args.id!r}", file=sys.stderr)
         return 2
+    exp(args)
+    return 0
+
+
+def _cmd_report(args) -> int:
+    from repro.experiments.runall import write_full_report
+
+    path = write_full_report(args.output, rng=args.seed, quick=not args.full, jobs=args.jobs)
+    print(f"wrote {path}")
     return 0
 
 
@@ -182,7 +221,7 @@ def _engine_params(args, **extra):
 
     Unknown ``--scheduler`` / ``--replica-policy`` names and out-of-range
     admission settings raise ``ValueError`` at ``ParallelGridFile``
-    construction; callers catch it and turn it into a clean CLI error.
+    construction, which :func:`main` reports as a clean CLI error.
     """
     from repro.parallel import ClusterParams
 
@@ -195,6 +234,30 @@ def _engine_params(args, **extra):
         des_queue=args.des_queue,
         **extra,
     )
+
+
+def _fault_plan(args):
+    """The crash/recover/slowdown flags as a validated FaultPlan (or None).
+
+    Node range, event time and slowdown factor are checked by
+    ``FaultEvent`` / ``FaultPlan.validate``; only the crash-then-recover
+    order is checked here.
+    """
+    from repro.parallel import FaultPlan
+
+    plan = FaultPlan()
+    if args.crash_node is not None:
+        plan.node_crash(args.crash_time, node=args.crash_node)
+        if args.recover_time is not None:
+            if args.recover_time <= args.crash_time:
+                raise ValueError("--recover-time must be after --crash-time")
+            plan.node_recover(args.recover_time, node=args.crash_node)
+    if getattr(args, "slow_node", None) is not None:
+        plan.disk_slowdown(args.slow_time, node=args.slow_node, factor=args.slow_factor)
+    if not plan.events:
+        return None
+    plan.validate(args.disks)
+    return plan
 
 
 def _print_perf(rep, *, show_shed: bool = False) -> None:
@@ -211,26 +274,12 @@ def _print_perf(rep, *, show_shed: bool = False) -> None:
               f"(fraction {rep.shed_fraction:.3f})")
 
 
-def _deploy(args):
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    queries = square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
-    return ds, gf, method, assignment, queries
-
-
 def _cmd_cluster_sim(args) -> int:
     from repro.parallel import ParallelGridFile
 
-    ds, gf, method, assignment, queries = _deploy(args)
-    try:
-        params = _engine_params(args, replication=args.scheme)
-        pgf = ParallelGridFile(gf, assignment, args.disks, params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rep = pgf.run_queries(queries)
+    ds, gf, method, assignment = _deploy(args)
+    pgf = ParallelGridFile(gf, assignment, args.disks, _engine_params(args, replication=args.scheme))
+    rep = pgf.run_queries(_square_queries(args, ds))
     print(f"dataset            : {ds.name} ({gf.stats()})")
     print(f"method             : {method.name}, disks={args.disks}")
     print(f"engine             : scheduler={args.scheduler}, "
@@ -244,16 +293,10 @@ def _cmd_open_sim(args) -> int:
     from repro.parallel import ParallelGridFile
 
     if args.rate <= 0:
-        print("--rate must be positive", file=sys.stderr)
-        return 2
-    ds, gf, method, assignment, queries = _deploy(args)
-    try:
-        params = _engine_params(args, replication=args.scheme)
-        pgf = ParallelGridFile(gf, assignment, args.disks, params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rep = pgf.run_open(queries, arrival_rate=args.rate, rng=args.seed)
+        raise ValueError("--rate must be positive")
+    ds, gf, method, assignment = _deploy(args)
+    pgf = ParallelGridFile(gf, assignment, args.disks, _engine_params(args, replication=args.scheme))
+    rep = pgf.run_open(_square_queries(args, ds), arrival_rate=args.rate, rng=args.seed)
     admission = "unbounded"
     if args.max_inflight is not None or args.deadline is not None:
         admission = f"max-inflight={args.max_inflight}, deadline={args.deadline}"
@@ -268,27 +311,11 @@ def _cmd_open_sim(args) -> int:
 
 
 def _cmd_fault_sim(args) -> int:
-    from repro.parallel import ClusterParams, FaultPlan, ParallelGridFile
+    from repro.parallel import ClusterParams, ParallelGridFile
 
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    queries = square_queries(args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed)
-
-    if args.crash_node >= args.disks:
-        print(f"--crash-node must be < --disks ({args.disks})", file=sys.stderr)
-        return 2
-    if args.crash_time < 0:
-        print("--crash-time must be non-negative", file=sys.stderr)
-        return 2
-    if args.recover_time is not None and args.recover_time <= args.crash_time:
-        print("--recover-time must be after --crash-time", file=sys.stderr)
-        return 2
-    plan = FaultPlan().node_crash(args.crash_time, node=args.crash_node)
-    if args.recover_time is not None:
-        plan = plan.node_recover(args.recover_time, node=args.crash_node)
-
+    plan = _fault_plan(args)
+    ds, gf, method, assignment = _deploy(args)
+    queries = _square_queries(args, ds)
     params = ClusterParams(replication=args.scheme)
     healthy = ParallelGridFile(gf, assignment, args.disks, params).run_queries(queries)
     rep = ParallelGridFile(gf, assignment, args.disks, params).run_queries(queries, faults=plan)
@@ -312,25 +339,13 @@ def _cmd_online_sim(args) -> int:
     from repro.core import make_placement
     from repro.parallel import DegradationMonitor, OnlineCluster, make_store
     from repro.sim import mixed_workload
-    from repro.storage import StorageError
 
     if not 0.0 <= args.write_ratio <= 1.0:
-        print("--write-ratio must be in [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("--write-ratio must be in [0, 1]")
     if args.store != "memory" and args.store_path is None:
-        print(f"--store {args.store} requires --store-path", file=sys.stderr)
-        return 2
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
-    try:
-        store = make_store(
-            gf, backend=args.store, path=args.store_path, durability=args.wal_sync
-        )
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--store {args.store} requires --store-path")
+    ds, gf, method, assignment = _deploy(args)
+    store = make_store(gf, backend=args.store, path=args.store_path, durability=args.wal_sync)
     ops = mixed_workload(
         args.ops,
         args.write_ratio,
@@ -346,14 +361,10 @@ def _cmd_online_sim(args) -> int:
         )
     policy = make_placement(args.placement)
     before = gf.n_buckets
-    try:
-        cluster = OnlineCluster(
-            store, assignment, args.disks, params=_engine_params(args),
-            placement=policy, monitor=monitor, seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cluster = OnlineCluster(
+        store, assignment, args.disks, params=_engine_params(args),
+        placement=policy, monitor=monitor, seed=args.seed,
+    )
     try:
         rep = cluster.run(ops)
     finally:
@@ -390,10 +401,7 @@ def _cmd_autoscale_sim(args) -> int:
     from repro.parallel import AutoscaleCluster, AutoscaleParams, ScalePlan
     from repro.sim import flash_crowd_queries
 
-    ds = load(args.name, rng=args.seed)
-    gf = build_gridfile(ds)
-    method = make_method(args.method)
-    assignment = method.assign(gf, args.disks, rng=args.seed)
+    ds, gf, method, assignment = _deploy(args)
     queries = flash_crowd_queries(
         args.queries, args.ratio, ds.domain_lo, ds.domain_hi,
         start=args.crowd_start, duration=args.crowd_duration,
@@ -405,29 +413,25 @@ def _cmd_autoscale_sim(args) -> int:
         plan.join(t)
     for t in args.leave or []:
         plan.leave(t)
-    try:
-        autoscale = AutoscaleParams(
-            policy=args.policy,
-            budget=args.budget,
-            alpha=args.alpha,
-            interval=args.interval,
-            add_heat=args.add_heat,
-            evict_heat=args.evict_heat,
-            min_dwell=args.min_dwell,
-        )
-        params = _engine_params(
-            args, autoscale=autoscale,
-            cache_blocks=args.cache_blocks, pipeline_depth=args.pipeline_depth,
-        )
-        cluster = AutoscaleCluster(
-            gf, assignment, args.disks, params,
-            plan=plan if plan.sorted_events() else None,
-            pool_disks=args.pool_disks,
-            seed=args.seed,
-        )
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    autoscale = AutoscaleParams(
+        policy=args.policy,
+        budget=args.budget,
+        alpha=args.alpha,
+        interval=args.interval,
+        add_heat=args.add_heat,
+        evict_heat=args.evict_heat,
+        min_dwell=args.min_dwell,
+    )
+    params = _engine_params(
+        args, autoscale=autoscale,
+        cache_blocks=args.cache_blocks, pipeline_depth=args.pipeline_depth,
+    )
+    cluster = AutoscaleCluster(
+        gf, assignment, args.disks, params,
+        plan=plan if plan.sorted_events() else None,
+        pool_disks=args.pool_disks,
+        seed=args.seed,
+    )
     rep = cluster.run(queries)
     print(f"dataset            : {ds.name} ({gf.stats()})")
     print(f"method             : {method.name}, disks={args.disks} "
@@ -458,13 +462,8 @@ def _cmd_fsck(args) -> int:
 
     path = Path(args.path)
     if not (path / DATA_FILE).exists():
-        print(f"error: no store at {path} (missing {DATA_FILE})", file=sys.stderr)
-        return 2
-    try:
-        eng = StorageEngine(path, backend=args.backend, page_size=args.page_size)
-    except (StorageError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise StorageError(f"no store at {path} (missing {DATA_FILE})")
+    eng = StorageEngine(path, backend=args.backend, page_size=args.page_size)
     try:
         report = eng.fsck(repair=args.repair)
     finally:
@@ -484,57 +483,35 @@ def _cmd_fsck(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_trace(args) -> int:
-    from repro.obs import diff_summaries, read_trace, render_summary, summarize
+def _cmd_trace_summarize(args) -> int:
+    from repro.obs import read_trace, render_summary, summarize
 
-    if args.trace_command == "summarize":
-        print(render_summary(summarize(read_trace(args.file))))
-        return 0
-    if args.trace_command == "diff":
-        a = summarize(read_trace(args.a))
-        b = summarize(read_trace(args.b))
-        print(diff_summaries(a, b))
-        return 0
+    print(render_summary(summarize(read_trace(args.file))))
+    return 0
 
-    # record
+
+def _cmd_trace_diff(args) -> int:
+    from repro.obs import diff_summaries, read_trace, summarize
+
+    print(diff_summaries(summarize(read_trace(args.a)), summarize(read_trace(args.b))))
+    return 0
+
+
+def _cmd_trace_record(args) -> int:
     from repro.obs import PROFILER, Tracer
-    from repro.parallel import ClusterParams, FaultPlan, ParallelGridFile
+    from repro.parallel import ClusterParams, ParallelGridFile
 
-    plan = None
-    if args.crash_node is not None:
-        if not 0 <= args.crash_node < args.disks:
-            print(f"--crash-node must be in [0, {args.disks})", file=sys.stderr)
-            return 2
-        plan = FaultPlan().node_crash(args.crash_time, node=args.crash_node)
-        if args.recover_time is not None:
-            if args.recover_time <= args.crash_time:
-                print("--recover-time must be after --crash-time", file=sys.stderr)
-                return 2
-            plan.node_recover(args.recover_time, node=args.crash_node)
-    if args.slow_node is not None:
-        if not 0 <= args.slow_node < args.disks:
-            print(f"--slow-node must be in [0, {args.disks})", file=sys.stderr)
-            return 2
-        plan = plan if plan is not None else FaultPlan()
-        plan.disk_slowdown(args.slow_time, node=args.slow_node, factor=args.slow_factor)
-
+    plan = _fault_plan(args)
     tracer = Tracer(path=args.out)
     # Recording implies profiling: capture phase timings for this run only.
     was_enabled = PROFILER.enabled
     PROFILER.enabled = True
     PROFILER.reset()
     try:
-        ds = load(args.name, rng=args.seed)
-        gf = build_gridfile(ds)
-        method = make_method(args.method)
-        with PROFILER.phase(f"assign.{method.name}"):
-            assignment = method.assign(gf, args.disks, rng=args.seed)
-        queries = square_queries(
-            args.queries, args.ratio, ds.domain_lo, ds.domain_hi, rng=args.seed
-        )
-        params = ClusterParams(replication=args.scheme) if args.scheme else ClusterParams()
+        ds, gf, method, assignment = _deploy(args)
+        params = ClusterParams(replication=args.scheme)
         rep = ParallelGridFile(gf, assignment, args.disks, params).run_queries(
-            queries, faults=plan, tracer=tracer
+            _square_queries(args, ds), faults=plan, tracer=tracer
         )
     finally:
         PROFILER.enabled = was_enabled
@@ -560,19 +537,15 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"bad shape {text!r}; sides must be >= 1")
         return shape
 
-    try:
-        shapes = [parse_shape(s) for s in (args.shape or ["16x16"])]
-        specs = args.methods.split(",") if args.methods else None
-        rows = tightness_report(
-            specs=specs,
-            shapes=shapes,
-            disks=args.disks or [16],
-            rng=args.seed,
-            lower_bound=args.lower,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shapes = [parse_shape(s) for s in (args.shape or ["16x16"])]
+    specs = args.methods.split(",") if args.methods else None
+    rows = tightness_report(
+        specs=specs,
+        shapes=shapes,
+        disks=args.disks or [16],
+        rng=args.seed,
+        lower_bound=args.lower,
+    )
     table = [
         [
             r.spec,
@@ -601,22 +574,17 @@ def _cmd_sql(args) -> int:
     from repro.sql import SqlEngine, SqlError
 
     if args.store != "memory" and args.store_path is None:
-        print(f"--store {args.store} requires --store-path", file=sys.stderr)
-        return 2
-    try:
-        engine = SqlEngine(
-            n_disks=args.disks,
-            params=_engine_params(args),
-            placement=args.placement,
-            method=args.method,
-            store_backend=args.store,
-            store_path=args.store_path,
-            wal_sync=args.wal_sync,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--store {args.store} requires --store-path")
+    engine = SqlEngine(
+        n_disks=args.disks,
+        params=_engine_params(args),
+        placement=args.placement,
+        method=args.method,
+        store_backend=args.store,
+        store_path=args.store_path,
+        wal_sync=args.wal_sync,
+        seed=args.seed,
+    )
 
     def run(text: str) -> int:
         try:
@@ -638,12 +606,8 @@ def _cmd_sql(args) -> int:
     if args.execute is not None:
         return run(args.execute)
     if args.file is not None:
-        try:
-            text = open(args.file, encoding="utf-8").read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return run(text)
+        with open(args.file, encoding="utf-8") as fh:
+            return run(fh.read())
 
     # REPL: accumulate lines until a statement-terminating semicolon.
     interactive = sys.stdin.isatty()
@@ -691,6 +655,40 @@ def _add_engine_flags(sp) -> None:
                     " on million-event runs")
 
 
+def _add_deployment_flags(
+    sp,
+    *,
+    disks: int = 16,
+    ratio: float = 0.05,
+    queries: "int | None" = None,
+    scheme: "str | None" = None,
+    scheme_default: "str | None" = None,
+    method_help: str = "method spec (see `list`)",
+    disks_help: "str | None" = None,
+) -> None:
+    """Attach the flags :func:`_deploy` reads, with per-subcommand defaults.
+
+    ``queries=None`` leaves out ``--queries``; ``scheme`` is the help text
+    of ``--scheme`` (``None`` leaves the flag out).
+    """
+    sp.add_argument("name", choices=sorted(DATASETS))
+    sp.add_argument("--method", default="minimax", help=method_help)
+    sp.add_argument("--disks", type=int, default=disks, help=disks_help)
+    if scheme is not None:
+        sp.add_argument("--scheme", default=scheme_default, choices=["chained", "mirrored"],
+                        help=scheme)
+    sp.add_argument("--ratio", type=float, default=ratio, help="query volume ratio r")
+    if queries is not None:
+        sp.add_argument("--queries", type=int, default=queries)
+
+
+def _add_crash_flags(sp, *, node: "int | None", node_help: str) -> None:
+    """Attach the crash/recover flags :func:`_fault_plan` reads."""
+    sp.add_argument("--crash-node", type=int, default=node, help=node_help)
+    sp.add_argument("--crash-time", type=float, default=0.05, help="crash time (s)")
+    sp.add_argument("--recover-time", type=float, default=None, help="optional recovery time (s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     p = argparse.ArgumentParser(
@@ -700,21 +698,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1996, help="base RNG seed")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list datasets, methods and experiments")
+    sub.add_parser("list", help="list datasets, methods and experiments").set_defaults(
+        func=_cmd_list
+    )
 
     d = sub.add_parser("dataset", help="build a dataset's grid file and print stats")
     d.add_argument("name", choices=sorted(DATASETS))
+    d.set_defaults(func=_cmd_dataset)
 
     dec = sub.add_parser("decluster", help="decluster a dataset and evaluate")
-    dec.add_argument("name", choices=sorted(DATASETS))
-    dec.add_argument("--method", default="minimax", help="method spec (see `list`)")
-    dec.add_argument("--disks", type=int, default=16)
-    dec.add_argument("--ratio", type=float, default=0.05, help="query volume ratio r")
-    dec.add_argument("--queries", type=int, default=1000)
+    _add_deployment_flags(dec, queries=1000)
     dec.add_argument("--out", default=None, help="export per-disk files to this directory")
+    dec.set_defaults(func=_cmd_decluster)
 
     e = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    e.add_argument("id", help="fig2|fig3|fig4|fig6|fig7|table1..table5")
+    e.add_argument("id", help="|".join(_EXPERIMENTS))
     e.add_argument("--quick", action="store_true", help="reduced sweep for a fast run")
     e.add_argument("--plot", action="store_true", help="also render ASCII charts")
     e.add_argument(
@@ -722,53 +720,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sweep cells (0 = all cores); results are "
         "bit-for-bit identical to --jobs 1",
     )
+    e.set_defaults(func=_cmd_experiment)
 
+    optional_scheme = "optional replication scheme (required by balancing policies)"
     cs = sub.add_parser("cluster-sim", help="closed-loop cluster run with engine knobs")
-    cs.add_argument("name", choices=sorted(DATASETS))
-    cs.add_argument("--method", default="minimax", help="method spec (see `list`)")
-    cs.add_argument("--disks", type=int, default=16)
-    cs.add_argument("--scheme", default=None, choices=["chained", "mirrored"],
-                    help="optional replication scheme (required by balancing policies)")
-    cs.add_argument("--ratio", type=float, default=0.05, help="query volume ratio r")
-    cs.add_argument("--queries", type=int, default=200)
+    _add_deployment_flags(cs, queries=200, scheme=optional_scheme)
     _add_engine_flags(cs)
+    cs.set_defaults(func=_cmd_cluster_sim)
 
     os_ = sub.add_parser("open-sim", help="open-system run: Poisson arrivals, admission control")
-    os_.add_argument("name", choices=sorted(DATASETS))
-    os_.add_argument("--method", default="minimax", help="method spec (see `list`)")
-    os_.add_argument("--disks", type=int, default=16)
-    os_.add_argument("--scheme", default=None, choices=["chained", "mirrored"],
-                     help="optional replication scheme (required by balancing policies)")
+    _add_deployment_flags(os_, queries=200, scheme=optional_scheme)
     os_.add_argument("--rate", type=float, default=400.0, help="arrival rate (queries/s)")
-    os_.add_argument("--ratio", type=float, default=0.05, help="query volume ratio r")
-    os_.add_argument("--queries", type=int, default=200)
     _add_engine_flags(os_)
+    os_.set_defaults(func=_cmd_open_sim)
 
     f = sub.add_parser("fault-sim", help="simulate a node crash mid-run and report failover")
-    f.add_argument("name", choices=sorted(DATASETS))
-    f.add_argument("--method", default="minimax", help="method spec (see `list`)")
-    f.add_argument("--disks", type=int, default=16)
-    f.add_argument("--scheme", default="chained", choices=["chained", "mirrored"])
-    f.add_argument("--crash-node", type=int, default=3, help="node to crash")
-    f.add_argument("--crash-time", type=float, default=0.05, help="crash time (s)")
-    f.add_argument("--recover-time", type=float, default=None, help="optional recovery time (s)")
-    f.add_argument("--ratio", type=float, default=0.05, help="query volume ratio r")
-    f.add_argument("--queries", type=int, default=200)
+    _add_deployment_flags(f, queries=200, scheme="replication scheme", scheme_default="chained")
+    _add_crash_flags(f, node=3, node_help="node to crash")
+    f.set_defaults(func=_cmd_fault_sim)
 
     o = sub.add_parser(
         "online-sim",
         help="drive a mixed read/write workload against a live grid file",
     )
-    o.add_argument("name", choices=sorted(DATASETS))
-    o.add_argument("--method", default="minimax", help="initial assignment method")
-    o.add_argument("--disks", type=int, default=16)
+    _add_deployment_flags(o, method_help="initial assignment method")
     o.add_argument("--ops", type=int, default=500, help="total operations")
     o.add_argument("--write-ratio", type=float, default=0.3,
                    help="fraction of ops that are writes (0..1)")
     o.add_argument("--placement", default="rr-least-loaded",
                    help="online placement policy (rr-least-loaded | proximity-steal"
                    " | recompute-threshold)")
-    o.add_argument("--ratio", type=float, default=0.05, help="query volume ratio r")
     o.add_argument("--no-reorg", action="store_true",
                    help="disable the degradation monitor")
     o.add_argument("--reorg-threshold", type=float, default=1.5,
@@ -783,15 +764,15 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--wal-sync", default="commit", choices=["commit", "checkpoint"],
                    help="fsync the WAL on every commit, or only at checkpoints")
     _add_engine_flags(o)
+    o.set_defaults(func=_cmd_online_sim)
 
     a = sub.add_parser(
         "autoscale-sim",
         help="flash-crowd run with popularity-driven replication and "
         "elastic membership",
     )
-    a.add_argument("name", choices=sorted(DATASETS))
-    a.add_argument("--method", default="minimax", help="method spec (see `list`)")
-    a.add_argument("--disks", type=int, default=8, help="active disks at start")
+    _add_deployment_flags(a, disks=8, ratio=0.01, queries=500,
+                          disks_help="active disks at start")
     a.add_argument("--pool-disks", type=int, default=None,
                    help="provisioned pool (>= --disks; default: sized to the plan)")
     a.add_argument("--policy", default="heat-replicate",
@@ -812,8 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="activate one pool disk at time T (repeatable)")
     a.add_argument("--leave", type=float, action="append", metavar="T",
                    help="drain one active disk at time T (repeatable)")
-    a.add_argument("--ratio", type=float, default=0.01, help="query volume ratio r")
-    a.add_argument("--queries", type=int, default=500)
     a.add_argument("--crowd-start", type=float, default=0.2,
                    help="crowd onset (fraction of the query stream)")
     a.add_argument("--crowd-duration", type=float, default=0.6,
@@ -827,6 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--pipeline-depth", type=int, default=8,
                    help="closed-loop concurrency (queries in flight)")
     _add_engine_flags(a)
+    a.set_defaults(func=_cmd_autoscale_sim)
 
     fs = sub.add_parser(
         "fsck", help="verify (and optionally repair) a durable store's pages"
@@ -840,32 +820,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="page size the store was written with (bytes)")
     fs.add_argument("--dump", default=None,
                     help="directory to write hexdumps of corrupt pages into")
+    fs.set_defaults(func=_cmd_fsck)
 
     t = sub.add_parser("trace", help="record, summarize or diff cluster run traces")
     tsub = t.add_subparsers(dest="trace_command", required=True)
     trec = tsub.add_parser(
         "record", help="run a cluster workload with tracing on, write a JSONL trace"
     )
-    trec.add_argument("name", choices=sorted(DATASETS))
+    _add_deployment_flags(trec, queries=100,
+                          scheme="optional replication scheme (enables failover)")
     trec.add_argument("out", help="output trace path (JSONL)")
-    trec.add_argument("--method", default="minimax", help="method spec (see `list`)")
-    trec.add_argument("--disks", type=int, default=16)
-    trec.add_argument("--scheme", default=None, choices=["chained", "mirrored"],
-                      help="optional replication scheme (enables failover)")
-    trec.add_argument("--ratio", type=float, default=0.05, help="query volume ratio r")
-    trec.add_argument("--queries", type=int, default=100)
-    trec.add_argument("--crash-node", type=int, default=None, help="optional node to crash")
-    trec.add_argument("--crash-time", type=float, default=0.05, help="crash time (s)")
-    trec.add_argument("--recover-time", type=float, default=None, help="optional recovery time (s)")
+    _add_crash_flags(trec, node=None, node_help="optional node to crash")
     trec.add_argument("--slow-node", type=int, default=None,
                       help="optional node whose disk 0 is slowed")
     trec.add_argument("--slow-factor", type=float, default=4.0, help="slowdown multiplier")
     trec.add_argument("--slow-time", type=float, default=0.0, help="slowdown start time (s)")
+    trec.set_defaults(func=_cmd_trace_record)
     tsum = tsub.add_parser("summarize", help="summarize a recorded trace")
     tsum.add_argument("file", help="trace path (JSONL)")
+    tsum.set_defaults(func=_cmd_trace_summarize)
     tdiff = tsub.add_parser("diff", help="diff two recorded traces")
     tdiff.add_argument("a", help="baseline trace path")
     tdiff.add_argument("b", help="comparison trace path")
+    tdiff.set_defaults(func=_cmd_trace_diff)
 
     q = sub.add_parser(
         "sql",
@@ -893,6 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-v", "--verbose", action="store_true",
                    help="print each SELECT's plan (EXPLAIN) to stderr")
     _add_engine_flags(q)
+    q.set_defaults(func=_cmd_sql)
 
     b = sub.add_parser(
         "bounds",
@@ -908,6 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disk count (repeatable; default 16)")
     b.add_argument("--lower", default="dhw",
                    help="lower-bound family to report against (trivial | dhw)")
+    b.set_defaults(func=_cmd_bounds)
 
     r = sub.add_parser("report", help="run every experiment into a markdown report")
     r.add_argument("output", help="output .md path")
@@ -917,47 +896,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sweep cells (0 = all cores); results are "
         "bit-for-bit identical to --jobs 1",
     )
+    r.set_defaults(func=_cmd_report)
 
     return p
 
 
 def main(argv=None) -> int:
-    """CLI entry point."""
+    """CLI entry point: bad input from any subcommand exits 2 with ``error:``."""
+    from repro.storage import StorageError
+
     args = build_parser().parse_args(argv)
     np.set_printoptions(precision=3, suppress=True)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "dataset":
-        return _cmd_dataset(args)
-    if args.command == "decluster":
-        return _cmd_decluster(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "cluster-sim":
-        return _cmd_cluster_sim(args)
-    if args.command == "open-sim":
-        return _cmd_open_sim(args)
-    if args.command == "fault-sim":
-        return _cmd_fault_sim(args)
-    if args.command == "online-sim":
-        return _cmd_online_sim(args)
-    if args.command == "autoscale-sim":
-        return _cmd_autoscale_sim(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "fsck":
-        return _cmd_fsck(args)
-    if args.command == "sql":
-        return _cmd_sql(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "report":
-        from repro.experiments.runall import write_full_report
-
-        path = write_full_report(args.output, rng=args.seed, quick=not args.full, jobs=args.jobs)
-        print(f"wrote {path}")
-        return 0
-    raise AssertionError("unreachable")
+    try:
+        return args.func(args)
+    except (StorageError, OSError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

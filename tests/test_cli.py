@@ -93,9 +93,20 @@ class TestCommands:
         assert "availability" in out
         assert "aborted queries    : 0" in out
 
-    def test_fault_sim_crash_node_out_of_range(self, capsys):
-        rc = main(["fault-sim", "uniform.2d", "--disks", "4", "--crash-node", "7"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--crash-node", "7"], "outside [0, 4)"),
+            (["--crash-node", "-1"], "outside [0, 4)"),
+            (["--crash-time", "-5"], "non-negative"),
+            (["--crash-time", "0.1", "--recover-time", "0.05"], "after --crash-time"),
+        ],
+        ids=["node-too-big", "node-negative", "time-negative", "recover-before-crash"],
+    )
+    def test_fault_sim_crash_node_out_of_range(self, capsys, flags, message):
+        rc = main(["fault-sim", "uniform.2d", "--disks", "4"] + flags)
         assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEngineCommands:
@@ -239,12 +250,24 @@ class TestTraceCommand:
         assert main(["trace", "diff", str(a), str(b)]) == 0
         assert "no differences" in capsys.readouterr().out
 
-    def test_record_rejects_bad_crash_node(self, capsys, tmp_path):
-        rc = main(
-            ["trace", "record", "uniform.2d", str(tmp_path / "x.jsonl"),
-             "--disks", "4", "--crash-node", "9"]
-        )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--crash-node", "9"], "outside [0, 4)"),
+            (["--crash-node", "-1"], "outside [0, 4)"),
+            (["--crash-node", "1", "--crash-time", "-5"], "non-negative"),
+            (["--slow-node", "4"], "outside [0, 4)"),
+            (["--slow-node", "1", "--slow-factor", "0"], "factor must be positive"),
+        ],
+        ids=["node-too-big", "node-negative", "time-negative", "slow-node-too-big",
+             "slow-factor-zero"],
+    )
+    def test_record_rejects_bad_crash_node(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "x.jsonl"
+        rc = main(["trace", "record", "uniform.2d", str(out), "--disks", "4"] + flags)
         assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_record_slowdown_only(self, capsys, tmp_path):
         path = tmp_path / "slow.jsonl"

@@ -9,9 +9,9 @@ would follow, exercising every package boundary in one pass.
 from repro.core import Minimax, recommend
 from repro.core.redistribute import minimax_expand, movement_fraction
 from repro.datasets import build_gridfile, load
-from repro.gridfile import load_gridfile, save_gridfile
 from repro.parallel import ClusterParams, ParallelGridFile, apply_failures
 from repro.sim import evaluate_queries, square_queries
+from repro.storage import DurableGridFile
 
 
 def test_full_lifecycle(tmp_path):
@@ -20,9 +20,10 @@ def test_full_lifecycle(tmp_path):
     gf = build_gridfile(ds, capacity=60)
     gf.check_invariants()
 
-    # 2. Persist and reload (the file outlives the process).
-    save_gridfile(gf, tmp_path / "dsmc.npz")
-    gf = load_gridfile(tmp_path / "dsmc.npz")
+    # 2. Persist and reopen (the file outlives the process).
+    DurableGridFile.create(gf, tmp_path / "dsmc").close()
+    store = DurableGridFile.open(tmp_path / "dsmc")
+    gf = store.gf
     gf.check_invariants()
 
     # 3. Advisor picks a method on a training sample.
@@ -55,3 +56,4 @@ def test_full_lifecycle(tmp_path):
     ev_new = evaluate_queries(gf, expanded, test_q, 10)
     assert ev_new.mean_response <= ev_old.mean_response
     assert ev_new.mean_response >= ev_new.mean_optimal
+    store.close()

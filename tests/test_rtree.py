@@ -140,66 +140,3 @@ def test_rtree_property(seed, max_entries):
     lo = rng.uniform(0, 6, 2)
     hi = lo + rng.uniform(0, 4, 2)
     assert np.array_equal(t.query_records(lo, hi), brute_force_query(pts, lo, hi))
-
-
-class TestPersistence:
-    def test_roundtrip_structure(self, rng, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
-        pts = rng.uniform(0, 1, size=(800, 2))
-        t = RTree.bulk_load(pts, max_entries=25)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        back.check_invariants()
-        assert back.n_records == t.n_records
-        assert back.height() == t.height()
-        assert len(back.leaves()) == len(t.leaves())
-
-    def test_roundtrip_preserves_leaf_order(self, rng, tmp_path):
-        """Leaf order is the declustering domain: it must survive."""
-        from repro.rtree import load_rtree, save_rtree
-
-        pts = rng.uniform(0, 1, size=(500, 2))
-        t = RTree.bulk_load(pts, max_entries=20)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        for a, b in zip(t.leaves(), back.leaves()):
-            assert a.entries == b.entries
-            assert a.mbr == b.mbr
-
-    def test_roundtrip_queries(self, rng, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
-        pts = rng.uniform(0, 10, size=(400, 3))
-        t = RTree(3, max_entries=12)
-        for pt in pts:
-            t.insert_point(pt)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        lo, hi = np.full(3, 2.0), np.full(3, 7.0)
-        assert np.array_equal(back.query_records(lo, hi), t.query_records(lo, hi))
-
-    def test_insert_after_load(self, rng, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
-        pts = rng.uniform(0, 1, size=(100, 2))
-        t = RTree.bulk_load(pts, max_entries=10)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        rid = back.insert_point([0.5, 0.5])
-        assert rid == 100
-        back.check_invariants()
-
-    def test_empty_tree_roundtrip(self, tmp_path):
-        from repro.rtree import load_rtree, save_rtree
-
-        t = RTree(2, max_entries=8)
-        p = tmp_path / "tree.npz"
-        save_rtree(t, p)
-        back = load_rtree(p)
-        assert back.n_records == 0
-        back.check_invariants()

@@ -86,6 +86,23 @@ def test_roundtrip_preserves_queries(tmp_path):
     d2.close()
 
 
+def test_roundtrip_preserves_deletions(tmp_path):
+    """A file that already has deletions reopens with the same tombstones."""
+    rng = np.random.default_rng(5)
+    gf = GridFile.from_points(rng.uniform(0, 100, size=(60, 2)), [0, 0], [100, 100], 8)
+    gf.delete_records([1, 5, 9])
+    DurableGridFile.create(gf, tmp_path / "store", page_size=512).close()
+    d2 = DurableGridFile.open(tmp_path / "store", page_size=512)
+    d2.gf.check_invariants()
+    assert d2.gf.n_records == 57
+    assert d2.gf.n_deleted == 3
+    _assert_same_gridfile(gf, d2.gf)
+    np.testing.assert_array_equal(
+        d2.gf.query_records([0, 0], [100, 100]), gf.query_records([0, 0], [100, 100])
+    )
+    d2.close()
+
+
 def test_reopened_store_continues_identically(tmp_path):
     """Same ops applied to the live and the reopened file → same bytes."""
     ops = default_workload(n_ops=50, capacity=CAPACITY, seed=11)
