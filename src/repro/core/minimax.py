@@ -298,13 +298,14 @@ class Minimax(DeclusteringMethod):
         memo = self._rows_memo
         if memo is not None and np.array_equal(memo[0], lo) and np.array_equal(memo[1], hi):
             return memo[2]
-        rows = _weight_cache(
-            _WEIGHTS[self.weight],
-            lo,
-            hi,
-            np.asarray(lengths, dtype=np.float64),
-            self.cache_bytes,
-        )
+        with PROFILER.phase("minimax.weights"):
+            rows = _weight_cache(
+                _WEIGHTS[self.weight],
+                lo,
+                hi,
+                np.asarray(lengths, dtype=np.float64),
+                self.cache_bytes,
+            )
         self._rows_memo = None if rows is None else (lo.copy(), hi.copy(), rows)
         return rows
 

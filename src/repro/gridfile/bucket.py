@@ -24,7 +24,14 @@ class Bucket:
     cellbox:
         Box of directory cells covered by this bucket.
     record_ids:
-        List of record indices into ``GridFile.points``.
+        List of record indices into ``GridFile.points``.  Assigning a new
+        list drops :attr:`coords`; code that mutates the list in place
+        (``append``/``remove``/``extend``) must set ``coords = None`` itself.
+    coords:
+        Cached ``points[record_ids]`` (read-only), filled lazily by
+        :meth:`GridFile.bucket_coords`; ``None`` while stale.  It lives on
+        the bucket, so it follows the bucket through swap-removal
+        renumbering.
     overflowed:
         True when the bucket holds more than ``capacity`` records because no
         scale boundary can separate them (all remaining records coincide in
@@ -32,18 +39,28 @@ class Bucket:
         this situation; we keep the records in place and flag it.
     """
 
-    __slots__ = ("id", "cellbox", "record_ids", "overflowed")
+    __slots__ = ("id", "cellbox", "_record_ids", "coords", "overflowed")
 
     def __init__(self, bucket_id: int, cellbox: CellBox, record_ids=None):
         self.id = int(bucket_id)
         self.cellbox = cellbox
-        self.record_ids: list[int] = list(record_ids) if record_ids is not None else []
+        self.record_ids = list(record_ids) if record_ids is not None else []
         self.overflowed = False
+
+    @property
+    def record_ids(self) -> list[int]:
+        """Record indices into ``GridFile.points``."""
+        return self._record_ids
+
+    @record_ids.setter
+    def record_ids(self, value: list[int]) -> None:
+        self._record_ids = value
+        self.coords = None
 
     @property
     def n_records(self) -> int:
         """Number of records currently stored."""
-        return len(self.record_ids)
+        return len(self._record_ids)
 
     @property
     def is_merged(self) -> bool:
@@ -52,7 +69,7 @@ class Bucket:
 
     def record_array(self) -> np.ndarray:
         """Record ids as an int64 array (copy)."""
-        return np.asarray(self.record_ids, dtype=np.int64)
+        return np.asarray(self._record_ids, dtype=np.int64)
 
     def __repr__(self) -> str:
         return (

@@ -213,6 +213,19 @@ class GridFile:
         """Record ids stored in the given bucket."""
         return self.buckets[bucket_id].record_array()
 
+    def bucket_coords(self, bucket_id: int) -> np.ndarray:
+        """Coordinates of a bucket's records, ``(n, d)``, in record order.
+
+        Cached on the bucket (read-only) until its ``record_ids`` change,
+        so a write costs O(bucket), not O(n_records).
+        """
+        b = self.buckets[bucket_id]
+        coords = b.coords
+        if coords is None:
+            coords = b.coords = self.points[b.record_array()]
+            coords.flags.writeable = False
+        return coords
+
     # ---------------------------------------------------------- event hooks
 
     def add_listener(self, listener) -> None:
@@ -273,6 +286,7 @@ class GridFile:
         cell = self.scales.locate(self.points[rid])
         bucket = self.buckets[self.directory.bucket_at(cell)]
         bucket.record_ids.append(rid)
+        bucket.coords = None
         self.invalidate_caches()
         if self._listeners:
             self._emit("record", bucket.id, "insert")
@@ -305,6 +319,7 @@ class GridFile:
             bucket.record_ids.remove(rid)
         except ValueError:  # pragma: no cover - guarded by the directory
             raise KeyError(f"record {rid} not found in its bucket") from None
+        bucket.coords = None
         self._deleted.add(rid)
         self.invalidate_caches()
         if bucket.overflowed and bucket.n_records <= self.capacity:
@@ -369,6 +384,7 @@ class GridFile:
         hi = np.maximum(a.cellbox.hi, b.cellbox.hi)
         a.cellbox = CellBox(lo, hi)
         a.record_ids.extend(b.record_ids)
+        a.coords = None
         b.record_ids = []
         self.directory.set_box(a.cellbox, a.id)
         if self._listeners:
@@ -459,9 +475,10 @@ class GridFile:
     def _refine_for(self, b: Bucket) -> bool:
         """Insert a scale boundary through ``b``'s single cell.
 
-        Tries dimensions cyclically, skipping those where the records do not
-        have at least two distinct coordinates (a boundary there could never
-        separate them).  Returns False when every dimension is degenerate.
+        Tries dimensions cyclically, skipping those where no boundary strictly
+        inside the cell separates the records (fewer than two distinct
+        coordinates, or every gap collapses onto the cell's upper edge in
+        floating point).  Returns False when every dimension is degenerate.
         """
         rec = b.record_array()
         cell = b.cellbox.lo
@@ -473,6 +490,8 @@ class GridFile:
                 continue
             lo, hi = self.scales.interval(k, int(cell[k]))
             value = self._boundary_value(distinct, coords, lo, hi)
+            if value is None:
+                continue
             interval = self.scales.insert_boundary(k, value)
             self.directory.refine(k, interval)
             for bb in self.buckets:
@@ -485,8 +504,11 @@ class GridFile:
 
     def _boundary_value(
         self, distinct: np.ndarray, coords: np.ndarray, lo: float, hi: float
-    ) -> float:
-        """Choose the new boundary value inside ``(lo, hi)`` per split policy."""
+    ) -> "float | None":
+        """Choose the new boundary value inside ``(lo, hi)`` per split policy.
+
+        ``None`` when no separating value lies strictly inside the interval.
+        """
         if self.split_policy == "midpoint":
             mid = (lo + hi) / 2.0
             if distinct[0] < mid <= distinct[-1]:
@@ -504,9 +526,12 @@ class GridFile:
         # boundary-equal points to the upper interval.
         collapsed = mids <= distinct[:-1]
         mids[collapsed] = distinct[1:][collapsed]
-        value = float(mids[np.argmin(np.abs(mids - target))])
-        assert lo < value < hi
-        return value
+        # A gap just below ``hi`` can collapse onto ``hi`` itself, which is
+        # no boundary; such a gap cannot separate the records.
+        mids = mids[(lo < mids) & (mids < hi)]
+        if mids.size == 0:
+            return None
+        return float(mids[np.argmin(np.abs(mids - target))])
 
     # --------------------------------------------------------------- querying
 
@@ -613,7 +638,8 @@ class GridFile:
 
         All built-in mutators (insert, delete, split, merge, refinement) call
         this automatically; callers that mutate ``buckets[...].record_ids``
-        directly must call it themselves.
+        directly must call it themselves (and, for an in-place mutation,
+        also reset that bucket's ``coords`` cache).
         """
         self._sizes_cache = None
 
@@ -673,7 +699,8 @@ class GridFile:
         Checked: directory shape matches scales; every bucket's directory
         region equals exactly its cell box; boxes tile the grid; every record
         lies in the bucket owning its cell; occupancy respects capacity
-        unless flagged overflowed.
+        unless flagged overflowed; every filled coordinate cache equals
+        ``points[record_ids]``.
         """
         assert self.directory.shape == self.scales.nintervals
         covered = np.zeros(self.directory.shape, dtype=bool)
@@ -691,6 +718,10 @@ class GridFile:
             rec = b.record_array()
             assert not seen[rec].any(), "record in two buckets"
             seen[rec] = True
+            if b.coords is not None:
+                assert np.array_equal(b.coords, self.points[rec]), (
+                    f"bucket {b.id} coordinate cache is stale"
+                )
             if rec.size:
                 cells = self.scales.locate(self.points[rec])
                 owners = self.directory.buckets_at(cells)

@@ -48,9 +48,18 @@ class RangeQuery:
         return float(np.prod(self.side_lengths))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of which ``(n, d)`` points fall inside (closed box)."""
+        """Boolean mask of which ``(n, d)`` points fall inside (closed box).
+
+        One ``lo <= x <= hi`` pass per dimension over a column: reducing
+        an ``(n, d)`` mask along its short axis costs several times more.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1)
+        inside = np.ones(points.shape[0], dtype=bool)
+        for k in range(self.lo.shape[0]):
+            col = points[:, k]
+            inside &= col >= self.lo[k]
+            inside &= col <= self.hi[k]
+        return inside
 
     @classmethod
     def square(

@@ -115,7 +115,7 @@ class _ReplicatedAutoscale(AutoscalePolicy):
     def bind(self, pipeline) -> None:
         super().bind(pipeline)
         store = pipeline.owner.store
-        sizes = [store.page_records(b).size for b in range(store.n_pages)]
+        sizes = store.page_sizes().tolist()
         self._build_controller(
             active=pipeline.n_disks, expand_fn=None, sizes=sizes
         )
@@ -163,13 +163,16 @@ class _ReplicatedAutoscale(AutoscalePolicy):
         failed = pipe.suspected_disks()
         bids = [int(b) for req in requests for b in req.bucket_ids]
         return regroup_requests(
-            pipe, plan, bids, lambda b: self._choose(b, failed)
+            pipe.coordinator, plan, bids, lambda b: self._choose(b, failed)
         )
 
     def failover(self, plan, req):
         failed = self.pipe.suspected_disks()
         return regroup_requests(
-            self.pipe, plan, req.bucket_ids, lambda b: self._choose(b, failed)
+            self.pipe.coordinator,
+            plan,
+            req.bucket_ids,
+            lambda b: self._choose(b, failed),
         )
 
     # -- control loop ---------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.base import validate_assignment
 from repro.gridfile.query import RangeQuery
 from repro.parallel.message import BlockRequest
-from repro.parallel.replication import effective_disk
 from repro.parallel.stores import PageStore, as_page_store
 
 __all__ = ["Coordinator", "QueryPlan"]
@@ -108,48 +107,6 @@ class Coordinator:
         """Global disk ids owned by ``node``."""
         return range(node * self.disks_per_node, (node + 1) * self.disks_per_node)
 
-    def failover_requests(
-        self,
-        plan: QueryPlan,
-        req: BlockRequest,
-        failed_disks,
-        scheme: str,
-    ) -> "list[BlockRequest] | None":
-        """Re-route one request's buckets to replica disks (§3.5, degraded).
-
-        ``failed_disks`` is the coordinator's current suspicion set (every
-        disk of every node it believes down).  Each bucket is walked to its
-        effective replica disk under ``scheme`` (cascaded for chained);
-        surviving targets are regrouped into per-node requests carrying
-        ``target_disks`` so workers read the replica copies.  Returns ``None``
-        when some bucket has no live replica (the query must abort).
-        """
-        failed = {int(f) for f in failed_disks}
-        by_node: dict[int, list[tuple[int, int]]] = {}
-        for b in req.bucket_ids:
-            b = int(b)
-            target = effective_disk(int(self.assignment[b]), self.n_disks, failed, scheme)
-            if target is None:
-                return None
-            by_node.setdefault(self.node_of_disk(target), []).append((b, target))
-        out = []
-        for node in sorted(by_node):
-            pairs = by_node[node]
-            bids = np.array([b for b, _ in pairs], dtype=np.int64)
-            targets = np.array([d for _, d in pairs], dtype=np.int64)
-            out.append(
-                BlockRequest(
-                    query_id=req.query_id,
-                    node_id=node,
-                    bucket_ids=bids,
-                    candidates=sum(plan.candidates_per_bucket[b] for b, _ in pairs),
-                    qualified=sum(plan.qualified_per_bucket[b] for b, _ in pairs),
-                    attempt=0,  # fresh retry budget against the new target
-                    target_disks=targets,
-                )
-            )
-        return out
-
     def plan(self, query_id: int, query: RangeQuery) -> QueryPlan:
         """Translate a query into per-node block requests.
 
@@ -157,6 +114,11 @@ class Coordinator:
         :class:`repro.sql.plan.RoutedQuery` — e.g. the R-tree access path
         fetches only match-holding buckets) are honoured as-is; plain
         queries resolve against the store, the legacy behaviour.
+
+        One vectorised pass per query: the touched pages' cached coordinate
+        arrays are concatenated and filtered by a single containment test;
+        requests list each node's pages in resolution order, nodes
+        ascending.
         """
         page_ids = getattr(query, "page_ids", None)
         if page_ids is not None:
@@ -165,41 +127,43 @@ class Coordinator:
             bids = self.store.query_pages(query.lo, query.hi)
         disks = self.assignment[bids]
         blocks_per_disk = np.bincount(disks, minlength=self.n_disks)
+        if bids.size == 0:
+            return QueryPlan(query_id, [], blocks_per_disk, {}, {}, {}, {})
 
-        requests: list[BlockRequest] = []
-        candidates: dict[int, int] = {}
-        qualified: dict[int, int] = {}
-        cand_bucket: dict[int, int] = {}
-        qual_bucket: dict[int, int] = {}
+        # One containment test over every candidate record of the query.
+        coords = [self.store.page_coords(b) for b in bids.tolist()]
+        sizes = np.fromiter(map(len, coords), dtype=np.int64, count=len(coords))
+        inside = query.contains(np.concatenate(coords))
+        # Qualified records per page: differences of the running count at
+        # the page boundaries (empty pages, e.g. R-tree leaves, give 0).
+        ends = np.cumsum(sizes)
+        hits = np.concatenate(([0], np.cumsum(inside)))
+        quals = hits[ends] - hits[ends - sizes]
+
+        # Group pages by node, keeping each node's pages in query order.
         nodes = disks // self.disks_per_node
-        for node in np.unique(nodes):
-            node_bids = bids[nodes == node]
-            cand = 0
-            qual = 0
-            for b in node_bids:
-                rec = self.store.page_records(int(b))
-                bq = 0
-                if rec.size:
-                    bq = int(query.contains(self.store.record_coords(rec)).sum())
-                cand_bucket[int(b)] = rec.size
-                qual_bucket[int(b)] = bq
-                cand += rec.size
-                qual += bq
-            requests.append(
-                BlockRequest(
-                    query_id, int(node), node_bids, candidates=cand, qualified=qual
-                )
+        order = np.argsort(nodes, kind="stable")
+        nodes, bids, sizes, quals = nodes[order], bids[order], sizes[order], quals[order]
+        starts = np.concatenate(([0], np.flatnonzero(nodes[1:] != nodes[:-1]) + 1))
+        node_ids = nodes[starts].tolist()
+        node_cand = np.add.reduceat(sizes, starts).tolist()
+        node_qual = np.add.reduceat(quals, starts).tolist()
+        bounds = starts.tolist() + [bids.size]
+        requests = [
+            BlockRequest(query_id, node, bids[s:e], candidates=cand, qualified=qual)
+            for node, s, e, cand, qual in zip(
+                node_ids, bounds[:-1], bounds[1:], node_cand, node_qual
             )
-            candidates[int(node)] = cand
-            qualified[int(node)] = qual
+        ]
+        bid_list = bids.tolist()
         return QueryPlan(
             query_id=query_id,
             requests=requests,
             blocks_per_disk=blocks_per_disk,
-            candidates_per_node=candidates,
-            qualified_per_node=qualified,
-            candidates_per_bucket=cand_bucket,
-            qualified_per_bucket=qual_bucket,
+            candidates_per_node=dict(zip(node_ids, node_cand)),
+            qualified_per_node=dict(zip(node_ids, node_qual)),
+            candidates_per_bucket=dict(zip(bid_list, sizes.tolist())),
+            qualified_per_bucket=dict(zip(bid_list, quals.tolist())),
         )
 
     def plan_cpu_time(self, plan: QueryPlan) -> float:

@@ -43,14 +43,15 @@ __all__ = [
 ]
 
 
-def regroup_requests(pipe, plan, bucket_ids, choose) -> "list | None":
+def regroup_requests(coordinator, plan, bucket_ids, choose) -> "list | None":
     """Group per-bucket disk choices into per-node block requests.
 
     ``choose(bucket) -> global disk | None``; ``None`` means no live copy
     can serve the bucket and the whole routing fails (the caller aborts).
-    Shared by the balancing replica selectors and the autoscale router —
-    the grouping and field computation are byte-identical to the original
-    ``_BalancingSelector`` implementation.
+    The one regrouping path of every replica route: primary-only failover,
+    the balancing replica selectors and the autoscale router.  Requests
+    carry ``target_disks`` (so workers read the chosen copies) and a fresh
+    retry budget (``attempt=0``).
     """
     by_node: dict[int, list] = {}
     for b in bucket_ids:
@@ -58,7 +59,7 @@ def regroup_requests(pipe, plan, bucket_ids, choose) -> "list | None":
         disk = choose(b)
         if disk is None:
             return None
-        by_node.setdefault(pipe.coordinator.node_of_disk(disk), []).append((b, disk))
+        by_node.setdefault(coordinator.node_of_disk(disk), []).append((b, disk))
     qid = plan.query_id
     out = []
     for node in sorted(by_node):
@@ -117,9 +118,7 @@ class PrimaryOnlySelector(ReplicaSelector):
                 continue
             if pipe.params.replication is None:
                 return None
-            rerouted = pipe.coordinator.failover_requests(
-                plan, req, failed, pipe.params.replication
-            )
+            rerouted = self._failover(plan, req.bucket_ids, failed)
             if rerouted is None:
                 return None
             pipe.stats.n_failovers += 1
@@ -130,8 +129,20 @@ class PrimaryOnlySelector(ReplicaSelector):
         pipe = self.pipe
         if pipe.params.replication is None:
             return None
-        return pipe.coordinator.failover_requests(
-            plan, req, pipe.suspected_disks(), pipe.params.replication
+        return self._failover(plan, req.bucket_ids, pipe.suspected_disks())
+
+    def _failover(self, plan, bucket_ids, failed) -> "list | None":
+        """Walk each bucket to its effective replica disk (§3.5, degraded;
+        cascaded for chained) and regroup the survivors per node."""
+        coord = self.pipe.coordinator
+        scheme = self.pipe.params.replication
+        return regroup_requests(
+            coord,
+            plan,
+            bucket_ids,
+            lambda b: effective_disk(
+                int(coord.assignment[b]), coord.n_disks, failed, scheme
+            ),
         )
 
 
@@ -161,7 +172,7 @@ class _BalancingSelector(ReplicaSelector):
         pipe = self.pipe
         failed = pipe.suspected_disks()
         return regroup_requests(
-            pipe,
+            pipe.coordinator,
             plan,
             bucket_ids,
             lambda b: self._choose(int(pipe.coordinator.assignment[b]), failed),

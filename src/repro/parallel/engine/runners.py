@@ -197,10 +197,8 @@ def _simulate_load(pgf: "ParallelGridFile", cpu_build_per_record: float, paralle
     params = pgf.params
     net = params.network
     store = pgf.store
-    n_records = sum(
-        store.page_records(p).size for p in range(store.n_pages)
-    )
-    build = cpu_build_per_record * n_records
+    sizes = store.page_sizes()
+    build = cpu_build_per_record * int(sizes.sum())
 
     page_bytes = params.disk.block_bytes
     node_of = pgf.coordinator.node_of_bucket
@@ -209,7 +207,7 @@ def _simulate_load(pgf: "ParallelGridFile", cpu_build_per_record: float, paralle
     coord_nic = Resource("load.coord.nic")
     finish = build
     for page in range(store.n_pages):
-        if store.page_records(page).size == 0:
+        if sizes[page] == 0:
             continue  # empty pages occupy no disk block
         node = node_of(page)
         bytes_per_node[node] += page_bytes

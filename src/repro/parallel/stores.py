@@ -2,7 +2,10 @@
 
 The SPMD protocol only needs three things from a storage structure: which
 pages a query touches, which records a page holds, and the record
-coordinates.  :class:`PageStore` captures that contract;
+coordinates.  :class:`PageStore` captures that contract, plus two
+derived reads the hot paths use: per-page record coordinates
+(``page_coords``, cached per page by both adapters) and per-page record
+counts (``page_sizes``);
 :class:`GridFileStore` and :class:`RTreeStore` adapt the two structures, so
 the *parallel R-tree* runs on the same simulated SP-2 as the parallel grid
 file (``benchmarks/bench_ext_rtree_cluster.py``).
@@ -57,6 +60,18 @@ class PageStore(ABC):
     def record_coords(self, record_ids: np.ndarray) -> np.ndarray:
         """Coordinates of the given records, shape ``(n, d)``."""
 
+    @abstractmethod
+    def page_coords(self, page_id: int) -> np.ndarray:
+        """Coordinates of a page's records, in ``page_records`` order.
+
+        Read-only and cached per page: the coordinator's plan kernel
+        gathers these instead of re-indexing ``record_coords`` per query.
+        """
+
+    @abstractmethod
+    def page_sizes(self) -> np.ndarray:
+        """Record count of every page, indexed by page id."""
+
 
 class GridFileStore(PageStore):
     """A grid file as a page store (page = bucket)."""
@@ -76,6 +91,12 @@ class GridFileStore(PageStore):
 
     def record_coords(self, record_ids: np.ndarray) -> np.ndarray:
         return self.gf.points[np.asarray(record_ids, dtype=np.int64)]
+
+    def page_coords(self, page_id: int) -> np.ndarray:
+        return self.gf.bucket_coords(page_id)
+
+    def page_sizes(self) -> np.ndarray:
+        return self.gf.bucket_sizes()
 
 
 class DurableGridFileStore(GridFileStore):
@@ -136,12 +157,17 @@ def make_store(
 
 
 class RTreeStore(PageStore):
-    """An R-tree as a page store (page = leaf, ordered as ``RTree.leaves``)."""
+    """An R-tree as a page store (page = leaf, ordered as ``RTree.leaves``).
+
+    The leaf list, and each leaf's coordinate cache, is a snapshot taken
+    when the store is built; rebuild the store after mutating the tree.
+    """
 
     def __init__(self, tree: RTree):
         self.tree = tree
         self._leaves = tree.leaves()
         self._index_of = {id(leaf): i for i, leaf in enumerate(self._leaves)}
+        self._coords: list["np.ndarray | None"] = [None] * len(self._leaves)
 
     @property
     def n_pages(self) -> int:
@@ -158,6 +184,18 @@ class RTreeStore(PageStore):
 
     def record_coords(self, record_ids: np.ndarray) -> np.ndarray:
         return self.tree.points[np.asarray(record_ids, dtype=np.int64)]
+
+    def page_coords(self, page_id: int) -> np.ndarray:
+        coords = self._coords[page_id]
+        if coords is None:
+            coords = self._coords[page_id] = self.record_coords(
+                self.page_records(page_id)
+            )
+            coords.flags.writeable = False
+        return coords
+
+    def page_sizes(self) -> np.ndarray:
+        return np.array([leaf.n_entries for leaf in self._leaves], dtype=np.int64)
 
 
 def as_page_store(obj) -> PageStore:

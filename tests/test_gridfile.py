@@ -100,6 +100,23 @@ class TestInsert:
         want = brute_force_query(gf.coords(), [4.0, 0.0], [4.0, 8.0])
         assert np.array_equal(got, want)
 
+    def test_gap_collapsing_onto_domain_edge_is_skipped(self):
+        """Records one ulp below and at the domain's upper edge cannot be
+        separated along that dimension; refinement moves to the next one."""
+        below = np.nextafter(1.0, 0.0)
+        gf = GridFile.empty([0, 0], [1, 1], capacity=2)
+        for x, y in ([below, 0.1], [1.0, 0.2], [below, 0.9]):
+            gf.insert_point([x, y])
+        gf.check_invariants()
+        assert gf.scales.boundaries[0].size == 0
+        assert gf.stats().n_overflowed == 0
+        # No dimension separates them at all: the bucket is flagged instead.
+        gf = GridFile.empty([0, 0], [1, 1], capacity=2)
+        for x in (below, 1.0, below):
+            gf.insert_point([x, 0.5])
+        gf.check_invariants()
+        assert gf.stats().n_overflowed == 1
+
 
 class TestSplitPolicies:
     @pytest.mark.parametrize("policy", ["midpoint", "median"])

@@ -144,6 +144,18 @@ class TestBuddyMerge:
         gf.insert_point([1.0, 1.0])
         gf.check_invariants()
 
+    def test_merge_drops_survivor_coordinate_cache(self, rng):
+        pts = rng.uniform(0, 100, size=(200, 2))
+        gf = build(pts, capacity=8)
+        gf.merge_fill = 1.0  # any two buddies that fit one bucket may merge
+        for b in range(gf.n_buckets):
+            gf.bucket_coords(b)  # fill every cache
+        survivor = next(b for b in gf.buckets if gf._find_buddy(b) is not None)
+        n_records = survivor.n_records + gf._find_buddy(survivor).n_records
+        merged = gf._merge_buckets(survivor, gf._find_buddy(survivor))
+        gf.check_invariants()  # asserts every filled cache is current
+        assert gf.bucket_coords(merged.id).shape == (n_records, 2)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))

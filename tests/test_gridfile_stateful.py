@@ -10,7 +10,12 @@ online engine (:mod:`repro.parallel.online`) generates — and checks, after
   ``bucket_sizes``) agrees with a shadow model;
 * ``query_records`` matches a brute-force scan of the shadow model,
   including the full-domain query;
-* deleting a deleted or never-existing record raises ``KeyError``.
+* deleting a deleted or never-existing record raises ``KeyError``;
+* ``Coordinator.plan`` equals the per-page reference planner and counts
+  exactly the shadow model's hits, while bursts of inserts and whole-bucket
+  deletes split, merge and swap-remove buckets whose coordinate caches the
+  plans filled (``check_invariants`` asserts every filled cache equals
+  ``points[record_ids]``).
 
 The default (tier-1) run keeps the example count small; the ``slow`` CI job
 runs the derandomized deep version (``REPRO_STATEFUL_EXAMPLES``, 500+).
@@ -26,7 +31,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.gridfile import GridFile
+from repro.gridfile import GridFile, RangeQuery
+from repro.parallel.coordinator import Coordinator
+from tests.test_coordinator_plan import assert_plans_equal, reference_plan
 
 CAPACITY = 6  # tiny buckets: a short run still splits, refines and merges
 
@@ -72,6 +79,42 @@ class GridFileMachine(RuleBasedStateMachine):
         self.gf.delete_record(rid)
         del self.live[rid]
         self.deleted.add(rid)
+
+    @rule(p=point)
+    def insert_burst(self, p):
+        """More than a bucket's worth of nearby points: forces splits."""
+        for i in range(CAPACITY + 1):
+            q = (min(1.0, p[0] + i * 1e-3), min(1.0, p[1] + i * 7e-4))
+            rid = self.gf.insert_point(np.array(q, dtype=np.float64))
+            self.live[rid] = q
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def delete_bucket(self, data):
+        """Empty one bucket: forces merges and swap-removal renumbering."""
+        full = self.gf.nonempty_bucket_ids().tolist()
+        bid = data.draw(st.sampled_from(full), label="bucket")
+        for rid in self.gf.records_in_bucket(bid).tolist():
+            self.gf.delete_record(rid)
+            del self.live[rid]
+            self.deleted.add(rid)
+
+    @rule(a=point, b=point, disks_per_node=st.sampled_from([1, 2]))
+    def plan_matches_reference(self, a, b, disks_per_node):
+        coord = Coordinator(
+            self.gf, np.arange(self.gf.n_buckets) % 4, 4, disks_per_node
+        )
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        for qid, q in enumerate([RangeQuery(lo, hi), RangeQuery([0.0, 0.0], [1.0, 1.0])]):
+            plan = coord.plan(qid, q)
+            assert_plans_equal(plan, reference_plan(coord, qid, q))
+            expected = sum(
+                1
+                for x, y in self.live.values()
+                if q.lo[0] <= x <= q.hi[0] and q.lo[1] <= y <= q.hi[1]
+            )
+            assert plan.total_qualified == expected
 
     @precondition(lambda self: self.deleted)
     @rule(data=st.data())

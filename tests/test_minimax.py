@@ -11,6 +11,7 @@ import pytest
 from repro.core import Minimax
 from repro.core.minimax import minimax_partition
 from repro.core.proximity import proximity_index
+from repro.obs import PROFILER
 from repro.sim.metrics import closest_pairs_same_disk
 
 
@@ -157,3 +158,30 @@ class TestOnGridFiles:
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
             Minimax(weight="manhattan")
+
+
+class TestWeightPhaseAttribution:
+    """The memoized weight matrix is built inside ``minimax.weights``."""
+
+    @pytest.fixture
+    def profiler(self):
+        saved = PROFILER.enabled
+        PROFILER.reset()
+        yield PROFILER
+        PROFILER.enabled = saved
+        PROFILER.reset()
+
+    def test_memo_miss_records_phase_and_hit_does_not(self, small_gridfile, profiler):
+        profiler.enabled = True
+        method = Minimax()
+        first = method.assign(small_gridfile, 4, rng=0)
+        assert profiler.snapshot()["minimax.weights"]["calls"] == 1
+        profiler.reset()
+        second = method.assign(small_gridfile, 8, rng=0)
+        assert "minimax.weights" not in profiler.snapshot()
+        assert "minimax.partition" in profiler.snapshot()
+        profiler.reset()
+        profiler.enabled = False
+        assert np.array_equal(Minimax().assign(small_gridfile, 4, rng=0), first)
+        assert np.array_equal(method.assign(small_gridfile, 8, rng=0), second)
+        assert profiler.snapshot() == {}
