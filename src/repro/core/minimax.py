@@ -12,13 +12,15 @@ complete graph on buckets, edges weighted by the probability of co-access
 
 Properties (paper §3.1, verified by the test suite):
 
-* O(N²) weight evaluations for N buckets;
+* O(N²) weight evaluations for N buckets (gathered from per-dimension
+  interval tables, see :class:`~repro.core.proximity.IntervalWeights`);
 * perfectly balanced partitions: every disk gets at most ``⌈N/M⌉`` buckets;
 * nearest-neighbour buckets land on the same disk only rarely (Tables 2–3).
 
 The inner loop is vectorized: per step one argmin over the frontier and one
-one-vs-all proximity row, both numpy array passes, so declustering the
-paper's 19 956-bucket 4-d file stays in seconds.
+one-vs-all weight row, both numpy array passes, so declustering the
+paper's 19 956-bucket 4-d file stays in seconds.  No ``n × n`` weight matrix
+is ever held: a row is a fold of one gathered table row per dimension.
 """
 
 from __future__ import annotations
@@ -29,25 +31,23 @@ import numpy as np
 
 from repro._util import as_rng, check_positive_int
 from repro.core.base import DeclusteringMethod, validate_assignment
-from repro.core.proximity import euclidean_similarity, pairwise_rows, proximity_index
+from repro.core.proximity import IntervalWeights, proximity_index
 from repro.gridfile.gridfile import GridFile
 from repro.obs import GLOBAL_METRICS, PROFILER
 
 __all__ = ["Minimax", "minimax_partition", "resolve_cache_bytes", "CACHE_BYTES_ENV"]
 
-_WEIGHTS = {"proximity": proximity_index, "euclidean": euclidean_similarity}
-
-#: Default memory cap for the precomputed pairwise weight matrix (bytes).
-#: 256 MiB holds the full matrix for ~5,800 buckets — comfortably above the
-#: paper's 2-d/3-d files, well below its 19,956-bucket 4-d file.
+#: Default memory cap for the per-dimension weight tables (bytes).  Grid
+#: files have few distinct intervals per dimension, so their tables are
+#: megabytes even for the paper's 19,956-bucket 4-d file.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
-#: Environment variable overriding the default weight-matrix cache cap.
+#: Environment variable overriding the default weight-table cache cap.
 CACHE_BYTES_ENV = "REPRO_MINIMAX_CACHE_BYTES"
 
 
 def resolve_cache_bytes(cache_bytes: "int | None") -> int:
-    """Resolve the weight-matrix cache cap: explicit arg > env > default.
+    """Resolve the weight-table cache cap: explicit arg > env > default.
 
     ``None`` consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment knob
     (an integer byte count; ``0`` disables the cache entirely) and falls
@@ -72,24 +72,24 @@ def resolve_cache_bytes(cache_bytes: "int | None") -> int:
         raise ValueError(f"{CACHE_BYTES_ENV} must be >= 0, got {value}")
     return value
 
-#: Target size of the (block, n, d) broadcast temporaries while filling the
-#: cache — small enough to stay in L2/L3 (large blocks thrash memory and are
-#: measurably slower), large enough to amortize dispatch overhead.
-_CACHE_BLOCK_BYTES = 4 * 1024 * 1024
+def interval_weights(
+    lo, hi, lengths, weight: str, precompute: "bool | str", cache_bytes: int
+) -> IntervalWeights:
+    """The weight rows of ``n`` boxes, with tables built when they pay.
 
-
-def _weight_cache(weight_fn, lo, hi, lengths, cache_bytes: int) -> "np.ndarray | None":
-    """Blockwise-precomputed pairwise weight matrix, or ``None`` over the cap.
-
-    Rows are bit-for-bit identical to the streamed one-vs-all computation,
-    so reading cached rows cannot change any partition.
+    ``precompute=True`` always builds the per-dimension tables, ``False``
+    never does, and ``"auto"`` builds them while ``Σ U_k² · 8`` bytes stay
+    within ``cache_bytes`` and within the ``n² · 8`` bytes of a dense
+    matrix; otherwise each row is computed at its step from the distinct
+    intervals.  Rows are bit-for-bit identical either way.
     """
-    n = lo.shape[0]
-    if n == 0 or n * n * 8 > cache_bytes:
-        return None
-    d = lo.shape[1]
-    block = max(1, _CACHE_BLOCK_BYTES // max(1, n * d * 8))
-    return pairwise_rows(weight_fn, lo, hi, lengths, block)
+    weights = IntervalWeights(lo, hi, lengths, weight)
+    n = weights.n
+    if precompute is True or (
+        precompute == "auto" and weights.table_bytes <= min(cache_bytes, n * n * 8)
+    ):
+        weights.build_tables()
+    return weights
 
 
 def _farthest_point_seeds(lo, hi, lengths, m, rng) -> np.ndarray:
@@ -119,7 +119,7 @@ def minimax_partition(
     seeds: "np.ndarray | None" = None,
     precompute: "bool | str" = "auto",
     cache_bytes: "int | None" = None,
-    rows: "np.ndarray | None" = None,
+    intervals: "IntervalWeights | None" = None,
 ) -> np.ndarray:
     """Partition ``n`` boxes over ``n_disks`` with Algorithm 2.
 
@@ -143,19 +143,21 @@ def minimax_partition(
         overrides ``seeding``.  Used by tests to compare against reference
         implementations step by step.
     precompute:
-        ``"auto"`` (default): blockwise-precompute the full pairwise weight
-        matrix when it fits under ``cache_bytes``, so the O(N²) expansion
-        reads cached rows instead of re-materializing one row per step.
-        ``True`` forces precomputation, ``False`` always streams rows.  The
-        result is bit-for-bit identical either way.
+        ``"auto"`` (default): build the per-dimension ``U_k × U_k`` weight
+        tables when they fit under ``cache_bytes`` and under a dense
+        ``n × n`` matrix, so each growth step gathers its row instead of
+        computing it.  ``True`` forces the tables, ``False`` always
+        computes rows per step.  The result is bit-for-bit identical
+        either way.
     cache_bytes:
-        Memory cap (bytes) for the precomputed matrix under ``"auto"``;
-        ``None`` (default) consults the ``REPRO_MINIMAX_CACHE_BYTES``
-        environment knob and falls back to :data:`DEFAULT_CACHE_BYTES`.
-    rows:
-        Optional externally precomputed ``(n, n)`` pairwise weight matrix
-        (e.g. shared across the disk counts of a sweep); takes precedence
-        over ``precompute``.
+        Memory cap (bytes) for the tables under ``"auto"``; ``None``
+        (default) consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment
+        knob and falls back to :data:`DEFAULT_CACHE_BYTES`.  ``0`` always
+        computes rows per step.
+    intervals:
+        Optional prebuilt :class:`~repro.core.proximity.IntervalWeights`
+        of these boxes and ``weight`` (e.g. shared across the disk counts
+        of a sweep); takes precedence over ``precompute``.
 
     Returns
     -------
@@ -171,36 +173,19 @@ def minimax_partition(
     if m > n:
         # Degenerate but convenient: every box on its own disk.
         return np.arange(n, dtype=np.int64)
-    if weight not in _WEIGHTS:
-        raise ValueError(f"unknown weight {weight!r}; choose from {sorted(_WEIGHTS)}")
-    weight_fn = _WEIGHTS[weight]
     rng = as_rng(rng)
 
     if precompute not in (True, False, "auto"):
         raise ValueError(f"precompute must be True, False or 'auto', got {precompute!r}")
-    cache = rows
-    if cache is not None:
-        if cache.shape != (n, n):
-            raise ValueError(f"rows must have shape ({n}, {n}), got {cache.shape}")
-    elif precompute is True:
-        block = max(1, _CACHE_BLOCK_BYTES // max(1, n * lo.shape[1] * 8))
+    if intervals is None:
         with PROFILER.phase("minimax.weights"):
-            cache = pairwise_rows(weight_fn, lo, hi, lengths, block)
-    elif precompute == "auto":
-        with PROFILER.phase("minimax.weights"):
-            cache = _weight_cache(weight_fn, lo, hi, lengths, resolve_cache_bytes(cache_bytes))
-
-    cache_hits = GLOBAL_METRICS.counter("minimax.cache.hits")
-    cache_misses = GLOBAL_METRICS.counter("minimax.cache.misses")
-    weight_rows = GLOBAL_METRICS.counter("minimax.weight_rows")
-
-    def weight_row(y: int) -> np.ndarray:
-        if cache is not None:
-            cache_hits.inc()
-            return cache[y]
-        cache_misses.inc()
-        weight_rows.inc()
-        return weight_fn(lo[y], hi[y], lo, hi, lengths)
+            intervals = interval_weights(
+                lo, hi, lengths, weight, precompute, resolve_cache_bytes(cache_bytes)
+            )
+    elif intervals.n != n or intervals.weight != weight:
+        raise ValueError(
+            f"intervals hold {intervals.n} {intervals.weight!r} boxes, expected {n} {weight!r}"
+        )
 
     # Phase 1: seeding.
     if seeds is not None:
@@ -219,22 +204,28 @@ def minimax_partition(
     unassigned = np.ones(n, dtype=bool)
     unassigned[seeds] = False
 
-    # MAX_x(K): max edge weight from bucket x to members of tree K.
-    max_w = np.empty((n, m), dtype=np.float64)
-    for k in range(m):
-        max_w[:, k] = weight_row(int(seeds[k]))
-    max_w[~unassigned, :] = np.inf  # never re-select assigned buckets
+    # One row per bucket (M seeds, N - M growth steps): rows gathered from
+    # the tables count as cache hits, rows computed at their step as misses.
+    if intervals.tables is not None:
+        GLOBAL_METRICS.counter("minimax.cache.hits").inc(n)
+    else:
+        GLOBAL_METRICS.counter("minimax.cache.misses").inc(n)
+        GLOBAL_METRICS.counter("minimax.weight_rows").inc(n)
 
     # Phase 2: round-robin expansion.
     GLOBAL_METRICS.counter("minimax.growth_steps").inc(n - m)
     with PROFILER.phase("minimax.partition"):
+        # MAX_x(K): max edge weight from bucket x to members of tree K.
+        max_w = np.empty((n, m), dtype=np.float64)
+        for k in range(m):
+            max_w[:, k] = intervals.row(int(seeds[k]))
+        max_w[~unassigned, :] = np.inf  # never re-select assigned buckets
         k = 0
         for _ in range(n - m):
             y = int(np.argmin(max_w[:, k]))
             assign[y] = k
             unassigned[y] = False
-            row = weight_row(y)
-            np.maximum(max_w[:, k], row, out=max_w[:, k])
+            np.maximum(max_w[:, k], intervals.row(y), out=max_w[:, k])
             max_w[y, :] = np.inf
             k = (k + 1) % m
     return assign
@@ -251,12 +242,13 @@ class Minimax(DeclusteringMethod):
     seeding:
         Seed placement, ``"random"`` (default) or ``"farthest"``.
     precompute:
-        Row-cache policy passed to :func:`minimax_partition` — ``"auto"``
-        (default) precomputes the pairwise weight matrix blockwise when it
-        fits under ``cache_bytes``; assignments are identical either way.
+        Weight-table policy passed to :func:`minimax_partition` —
+        ``"auto"`` (default) builds the per-dimension weight tables when
+        they fit under ``cache_bytes``; assignments are identical either
+        way.
     cache_bytes:
-        Memory cap for the row cache (bytes); ``None`` (default) consults
-        the ``REPRO_MINIMAX_CACHE_BYTES`` environment knob.
+        Memory cap for the weight tables (bytes); ``None`` (default)
+        consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment knob.
 
     Notes
     -----
@@ -274,7 +266,7 @@ class Minimax(DeclusteringMethod):
         precompute: "bool | str" = "auto",
         cache_bytes: "int | None" = None,
     ):
-        if weight not in _WEIGHTS:
+        if weight not in IntervalWeights.WEIGHTS:
             raise ValueError(f"unknown weight {weight!r}")
         self.weight = weight
         self.seeding = seeding
@@ -282,32 +274,29 @@ class Minimax(DeclusteringMethod):
         self.cache_bytes = resolve_cache_bytes(cache_bytes)
         if weight != "proximity" or seeding != "random":
             self.name = f"MiniMax[{weight},{seeding}]"
-        # Memoized (lo, hi, rows) of the last grid file declustered, so a
-        # sweep over disk counts computes the O(N²) weight matrix once.
-        self._rows_memo: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+        # Memoized (lo, hi, lengths, weights) of the last grid file
+        # declustered, so a sweep over disk counts builds the tables once.
+        self._memo: "tuple[np.ndarray, np.ndarray, np.ndarray, IntervalWeights] | None" = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_rows_memo"] = None  # never ship the O(N²) cache to workers
+        state["_memo"] = None  # never ship the tables to workers
         return state
 
-    def _cached_rows(self, lo: np.ndarray, hi: np.ndarray, lengths) -> "np.ndarray | None":
-        """Pairwise weight rows for these regions, memoized across calls."""
-        if self.precompute is False:
-            return None
-        memo = self._rows_memo
-        if memo is not None and np.array_equal(memo[0], lo) and np.array_equal(memo[1], hi):
-            return memo[2]
+    def _interval_weights(self, lo: np.ndarray, hi: np.ndarray, lengths) -> IntervalWeights:
+        """Weight rows for these regions, memoized across calls."""
+        lengths = np.asarray(lengths, dtype=np.float64)
+        memo = self._memo
+        if memo is not None and all(
+            np.array_equal(a, b) for a, b in zip(memo[:3], (lo, hi, lengths))
+        ):
+            return memo[3]
         with PROFILER.phase("minimax.weights"):
-            rows = _weight_cache(
-                _WEIGHTS[self.weight],
-                lo,
-                hi,
-                np.asarray(lengths, dtype=np.float64),
-                self.cache_bytes,
+            weights = interval_weights(
+                lo, hi, lengths, self.weight, self.precompute, self.cache_bytes
             )
-        self._rows_memo = None if rows is None else (lo.copy(), hi.copy(), rows)
-        return rows
+        self._memo = (lo.copy(), hi.copy(), lengths.copy(), weights)
+        return weights
 
     def assign(self, gf: GridFile, n_disks: int, rng=None) -> np.ndarray:
         rng = as_rng(rng)
@@ -325,7 +314,7 @@ class Minimax(DeclusteringMethod):
             seeding=self.seeding,
             precompute=self.precompute,
             cache_bytes=self.cache_bytes,
-            rows=self._cached_rows(lo_ne, hi_ne, gf.scales.lengths),
+            intervals=self._interval_weights(lo_ne, hi_ne, gf.scales.lengths),
         )
         assignment = np.zeros(gf.n_buckets, dtype=np.int64)
         assignment[nonempty] = part

@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "proximity_index",
     "proximity_matrix",
-    "pairwise_rows",
+    "IntervalWeights",
     "center_distance",
     "euclidean_similarity",
 ]
@@ -71,8 +71,37 @@ def proximity_index(lo_a, hi_a, lo_b, hi_b, lengths) -> np.ndarray:
     return np.prod(factors, axis=-1)
 
 
-def proximity_matrix(lo, hi, lengths, block_rows: "int | None" = None) -> np.ndarray:
+def proximity_matrix(lo, hi, lengths) -> np.ndarray:
     """Full pairwise proximity matrix of ``n`` boxes (``(n, n)``, symmetric).
+
+    Assembled from the per-dimension interval tables of
+    :class:`IntervalWeights`; entry ``[i, j]`` is bit-for-bit
+    ``proximity_index(lo[i], hi[i], lo[j], hi[j], lengths)``.  O(n²) time
+    and memory plus ``Σ U_k²`` for the tables.
+    """
+    return IntervalWeights(lo, hi, lengths).matrix()
+
+
+class IntervalWeights:
+    """Pairwise box weights of ``n`` boxes, factored per dimension.
+
+    Both edge weights factor per dimension: the proximity index is a
+    product of per-dimension factors and the squared normalized center
+    distance is a sum of per-dimension squares.  Grid-file bucket regions
+    are unions of cells bounded by the scales, so dimension ``k`` has only
+    ``U_k`` distinct ``(lo, hi)`` intervals; every box keeps the index of
+    its interval, and the term of a box pair in dimension ``k`` is an entry
+    of a ``U_k × U_k`` table.
+
+    :meth:`row` folds the dimensions left to right (``*`` for proximity,
+    ``+`` then ``1 / (1 + sqrt)`` for Euclidean), the order in which
+    ``np.prod`` and ``np.sum`` reduce a short last axis, so row ``y`` is
+    bit-for-bit ``weight_fn(lo[y], hi[y], lo, hi, lengths)``.  (``np.sum``
+    reorders eight or more terms, so from ``d = 8`` Euclidean rows agree
+    to rounding only.)  Before
+    :meth:`build_tables` (or when the tables would not pay for their
+    memory) each row's terms are computed at call time from the distinct
+    intervals instead: O(Σ U_k + n·d) per row and O(n·d) memory.
 
     Parameters
     ----------
@@ -80,42 +109,79 @@ def proximity_matrix(lo, hi, lengths, block_rows: "int | None" = None) -> np.nda
         ``(n, d)`` box bounds.
     lengths:
         Domain extent per dimension.
-    block_rows:
-        When set, the matrix is filled in row blocks of this height, keeping
-        the broadcast temporaries at ``O(block_rows * n * d)`` instead of
-        ``O(n² * d)``.  Entries are bit-for-bit identical either way (the
-        per-element arithmetic does not depend on the blocking).
-
-    O(n²·d) time; the minimax algorithm uses the blocked form as a row cache
-    when it fits its memory cap, and streams one row at a time otherwise.
+    weight:
+        ``"proximity"`` (:func:`proximity_index`) or ``"euclidean"``
+        (:func:`euclidean_similarity`).
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if block_rows is None:
-        return proximity_index(
-            lo[:, None, :], hi[:, None, :], lo[None, :, :], hi[None, :, :], lengths
-        )
-    return pairwise_rows(proximity_index, lo, hi, lengths, block_rows)
 
+    WEIGHTS = ("proximity", "euclidean")
 
-def pairwise_rows(weight_fn, lo, hi, lengths, block_rows: int) -> np.ndarray:
-    """Fill an ``(n, n)`` pairwise weight matrix in row blocks.
+    def __init__(self, lo, hi, lengths, weight: str = "proximity"):
+        if weight not in self.WEIGHTS:
+            raise ValueError(f"unknown weight {weight!r}; choose from {sorted(self.WEIGHTS)}")
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        lengths = np.broadcast_to(np.asarray(lengths, dtype=np.float64), lo.shape[1:])
+        self.weight = weight
+        self.n = lo.shape[0]
+        #: Per dimension: distinct interval bounds, each box's interval
+        #: index and the domain length.
+        self.dims = []
+        for k in range(lo.shape[1]):
+            pairs = np.stack([lo[:, k], hi[:, k]], axis=1)
+            uniq, idx = np.unique(pairs, axis=0, return_inverse=True)
+            self.dims.append((uniq[:, 0].copy(), uniq[:, 1].copy(), idx.reshape(-1), lengths[k]))
+        #: The ``U_k × U_k`` term tables, or None while rows are streamed.
+        self.tables: "list[np.ndarray] | None" = None
 
-    ``weight_fn`` is any broadcasting box-pair weight (``proximity_index``,
-    ``euclidean_similarity``, ...).  Row ``i`` of the result is bit-for-bit
-    identical to ``weight_fn(lo[i], hi[i], lo, hi, lengths)``.
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    n = lo.shape[0]
-    block_rows = max(1, int(block_rows))
-    out = np.empty((n, n), dtype=np.float64)
-    for s in range(0, n, block_rows):
-        e = min(n, s + block_rows)
-        out[s:e] = weight_fn(
-            lo[s:e, None, :], hi[s:e, None, :], lo[None, :, :], hi[None, :, :], lengths
-        )
-    return out
+    @property
+    def table_bytes(self) -> int:
+        """Memory the term tables take once built (``Σ U_k² · 8``)."""
+        return 8 * sum(ulo.size ** 2 for ulo, _, _, _ in self.dims)
+
+    def _terms(self, lo_a, hi_a, lo_b, hi_b, length) -> np.ndarray:
+        """One dimension's terms with broadcasting."""
+        if self.weight == "proximity":
+            return _dim_factors(lo_a, hi_a, lo_b, hi_b, length)
+        diff = ((lo_a + hi_a) / 2.0 - (lo_b + hi_b) / 2.0) / length
+        return diff * diff
+
+    def _fold(self, acc, terms):
+        if acc is None:
+            return terms
+        return np.multiply(acc, terms, out=acc) if self.weight == "proximity" else np.add(acc, terms, out=acc)
+
+    def _finish(self, acc) -> np.ndarray:
+        return acc if self.weight == "proximity" else 1.0 / (1.0 + np.sqrt(acc))
+
+    def build_tables(self) -> "IntervalWeights":
+        """Fill the ``U_k × U_k`` term table of every dimension."""
+        if self.tables is None:
+            self.tables = [
+                self._terms(ulo[:, None], uhi[:, None], ulo, uhi, length)
+                for ulo, uhi, _, length in self.dims
+            ]
+        return self
+
+    def row(self, y: int) -> np.ndarray:
+        """Weights of box ``y`` against all ``n`` boxes (``(n,)``)."""
+        acc = None
+        for k, (ulo, uhi, idx, length) in enumerate(self.dims):
+            u = idx[y]
+            if self.tables is not None:
+                terms = self.tables[k][u]
+            else:
+                terms = self._terms(ulo[u], uhi[u], ulo, uhi, length)
+            acc = self._fold(acc, terms.take(idx))
+        return self._finish(acc)
+
+    def matrix(self) -> np.ndarray:
+        """All ``n × n`` weights; row ``i`` equals :meth:`row` ``(i)``."""
+        self.build_tables()
+        acc = None
+        for table, (_, _, idx, _) in zip(self.tables, self.dims):
+            acc = self._fold(acc, table[np.ix_(idx, idx)])
+        return self._finish(acc)
 
 
 def center_distance(lo_a, hi_a, lo_b, hi_b, lengths=None) -> np.ndarray:

@@ -52,7 +52,7 @@ from repro.core.base import DeclusteringMethod, validate_assignment
 from repro.core.minimax import minimax_partition, resolve_cache_bytes
 from repro.core.proximity import euclidean_similarity, proximity_index
 from repro.obs import GLOBAL_METRICS, PROFILER
-from repro.sfc import CURVES, bits_for
+from repro.sfc import CURVES
 
 __all__ = [
     "DEFAULT_DENSE_THRESHOLD",
@@ -235,11 +235,6 @@ def knn_graph(
     return graph
 
 
-def _chunk_reduceat(values: np.ndarray, starts: np.ndarray, op) -> np.ndarray:
-    """Segmented reduction of ``values`` at ``starts`` along axis 0."""
-    return op.reduceat(values, starts, axis=0)
-
-
 def _spill_overloaded(
     graph: ProximityGraph, assign: np.ndarray, n_disks: int, cap: int
 ) -> int:
@@ -394,7 +389,7 @@ def scalable_minimax_partition(
         Optional prebuilt :class:`ProximityGraph` (e.g. shared across the
         disk counts of a sweep).
     cache_bytes:
-        Row-cache cap forwarded to the dense path (both the fallback and
+        Weight-table cap forwarded to the dense path (both the fallback and
         the coarse-graph run); ``None`` uses the default / env knob.
 
     Returns
@@ -433,13 +428,14 @@ def scalable_minimax_partition(
         else:
             chunk = check_positive_int(chunk, "chunk")
         n_chunks = -(-n // chunk)
-        # Even chunking along the primary curve order: sizes differ by <= 1.
-        groups = np.array_split(primary_order, n_chunks)
-        sizes = np.array([g.shape[0] for g in groups], dtype=np.int64)
+        # Even chunking along the primary curve order: sizes differ by <= 1,
+        # the larger chunks first (as ``np.array_split``).
+        sizes = np.full(n_chunks, n // n_chunks, dtype=np.int64)
+        sizes[: n % n_chunks] += 1
         starts = np.zeros(n_chunks, dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
-        super_lo = _chunk_reduceat(lo[primary_order], starts, np.minimum)
-        super_hi = _chunk_reduceat(hi[primary_order], starts, np.maximum)
+        super_lo = np.minimum.reduceat(lo[primary_order], starts, axis=0)
+        super_hi = np.maximum.reduceat(hi[primary_order], starts, axis=0)
         GLOBAL_METRICS.counter("minimax.sparse.chunks").inc(n_chunks)
         coarse = minimax_partition(
             super_lo, super_hi, lengths, min(m, n_chunks), rng=rng,
@@ -447,10 +443,7 @@ def scalable_minimax_partition(
             cache_bytes=resolve_cache_bytes(cache_bytes),
         )
         assign = np.empty(n, dtype=np.int64)
-        chunk_of = np.empty(n, dtype=np.int64)
-        for ci, g in enumerate(groups):
-            assign[g] = coarse[ci]
-            chunk_of[g] = ci
+        assign[primary_order] = np.repeat(coarse, sizes)
 
     with PROFILER.phase("minimax.sparse.refine"):
         cap = -(-n // m) + balance_slack
