@@ -9,6 +9,7 @@ from repro._util.rng import as_rng, spawn_rng
 from repro._util.tables import format_table, format_series
 from repro._util.validate import (
     check_dimension,
+    check_lengths,
     check_positive_int,
     check_probability,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "format_series",
     "line_chart",
     "check_dimension",
+    "check_lengths",
     "check_positive_int",
     "check_probability",
 ]

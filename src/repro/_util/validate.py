@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_positive_int", "check_dimension", "check_probability"]
+__all__ = ["check_positive_int", "check_dimension", "check_probability", "check_lengths"]
 
 
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
@@ -39,3 +39,11 @@ def check_probability(value, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
+
+
+def check_lengths(lengths, d: int) -> np.ndarray:
+    """Validate ``d`` finite, positive domain extents; return them as floats."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    if lengths.shape != (d,) or not np.all(np.isfinite(lengths) & (lengths > 0)):
+        raise ValueError(f"lengths must be {d} finite positive domain extents, got {lengths!r}")
+    return lengths

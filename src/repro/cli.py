@@ -231,7 +231,6 @@ def _engine_params(args, **extra):
         max_inflight=args.max_inflight,
         deadline=args.deadline,
         retry_jitter=args.retry_jitter,
-        des_queue=args.des_queue,
         **extra,
     )
 
@@ -463,12 +462,12 @@ def _cmd_fsck(args) -> int:
     path = Path(args.path)
     if not (path / DATA_FILE).exists():
         raise StorageError(f"no store at {path} (missing {DATA_FILE})")
-    eng = StorageEngine(path, backend=args.backend, page_size=args.page_size)
+    eng = StorageEngine(path, page_size=args.page_size)
     try:
         report = eng.fsck(repair=args.repair)
     finally:
         eng.close()
-    print(f"store          : {path} (backend={args.backend}, page_size={args.page_size})")
+    print(f"store          : {path} (page_size={args.page_size})")
     print(f"pages checked  : {report.pages_checked}")
     print(f"pages repaired : {report.pages_repaired}")
     for problem in report.problems:
@@ -649,10 +648,6 @@ def _add_engine_flags(sp) -> None:
     sp.add_argument("--retry-jitter", type=float, default=0.0,
                     help="full-jitter fraction on retry backoff (0 = deterministic"
                     " legacy delays, 1 = full jitter)")
-    sp.add_argument("--des-queue", default=None,
-                    help="DES pending-event queue (heap | calendar); results are"
-                    " identical, the calendar queue drops the heap's log factor"
-                    " on million-event runs")
 
 
 def _add_deployment_flags(
@@ -756,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="windowed R(q) ratio that triggers reorganization")
     o.add_argument("--reorg-budget", type=float, default=0.2,
                    help="movement budget per reorganization (fraction of buckets)")
-    o.add_argument("--store", default="memory", choices=["memory", "file", "mmap"],
-                   help="storage backend for the live grid file (file/mmap persist"
+    o.add_argument("--store", default="memory", choices=["memory", "file"],
+                   help="storage backend for the live grid file (file persists"
                    " every committed operation through the WAL)")
     o.add_argument("--store-path", default=None,
                    help="directory for the durable store (required unless memory)")
@@ -814,8 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("path", help="store directory (holds pages.dat / wal.log)")
     fs.add_argument("--repair", action="store_true",
                     help="rewrite corrupt pages from their committed WAL images")
-    fs.add_argument("--backend", default="file", choices=["file", "mmap"],
-                    help="block-store backend the store was written with")
     fs.add_argument("--page-size", type=int, default=4096,
                     help="page size the store was written with (bytes)")
     fs.add_argument("--dump", default=None,
@@ -860,13 +853,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-decluster tables with this method spec after every"
                    " write batch (default: keep the placement policy's"
                    " incremental assignment)")
-    q.add_argument("--store", default="memory", choices=["memory", "file", "mmap"],
+    q.add_argument("--store", default="memory", choices=["memory", "file"],
                    help="per-table storage backend")
     q.add_argument("--store-path", default=None,
-                   help="directory for file/mmap table stores")
+                   help="directory for file table stores")
     q.add_argument("--wal-sync", default="commit",
                    choices=["commit", "checkpoint", "off"],
-                   help="WAL durability mode for file/mmap stores")
+                   help="WAL durability mode for file table stores")
     q.add_argument("-v", "--verbose", action="store_true",
                    help="print each SELECT's plan (EXPLAIN) to stderr")
     _add_engine_flags(q)

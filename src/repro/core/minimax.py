@@ -25,8 +25,6 @@ is ever held: a row is a fold of one gathered table row per dimension.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro._util import as_rng, check_positive_int
@@ -35,59 +33,29 @@ from repro.core.proximity import IntervalWeights, proximity_index
 from repro.gridfile.gridfile import GridFile
 from repro.obs import GLOBAL_METRICS, PROFILER
 
-__all__ = ["Minimax", "minimax_partition", "resolve_cache_bytes", "CACHE_BYTES_ENV"]
+__all__ = ["Minimax", "minimax_partition"]
 
-#: Default memory cap for the per-dimension weight tables (bytes).  Grid
-#: files have few distinct intervals per dimension, so their tables are
-#: megabytes even for the paper's 19,956-bucket 4-d file.
+#: Memory cap for the per-dimension weight tables (bytes).  Grid files have
+#: few distinct intervals per dimension, so their tables are megabytes even
+#: for the paper's 19,956-bucket 4-d file.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
-#: Environment variable overriding the default weight-table cache cap.
-CACHE_BYTES_ENV = "REPRO_MINIMAX_CACHE_BYTES"
+#: Seed placements: the paper's random seeds, or greedy max-min spread.
+SEEDINGS = ("random", "farthest")
 
 
-def resolve_cache_bytes(cache_bytes: "int | None") -> int:
-    """Resolve the weight-table cache cap: explicit arg > env > default.
-
-    ``None`` consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment knob
-    (an integer byte count; ``0`` disables the cache entirely) and falls
-    back to :data:`DEFAULT_CACHE_BYTES`.  Raises ``ValueError`` on a
-    malformed or negative knob value.
-    """
-    if cache_bytes is not None:
-        cache_bytes = int(cache_bytes)
-        if cache_bytes < 0:
-            raise ValueError(f"cache_bytes must be >= 0, got {cache_bytes}")
-        return cache_bytes
-    raw = os.environ.get(CACHE_BYTES_ENV)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_CACHE_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_BYTES_ENV} must be an integer byte count, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{CACHE_BYTES_ENV} must be >= 0, got {value}")
-    return value
-
-def interval_weights(
-    lo, hi, lengths, weight: str, precompute: "bool | str", cache_bytes: int
-) -> IntervalWeights:
+def interval_weights(lo, hi, lengths, weight: str) -> IntervalWeights:
     """The weight rows of ``n`` boxes, with tables built when they pay.
 
-    ``precompute=True`` always builds the per-dimension tables, ``False``
-    never does, and ``"auto"`` builds them while ``Σ U_k² · 8`` bytes stay
-    within ``cache_bytes`` and within the ``n² · 8`` bytes of a dense
-    matrix; otherwise each row is computed at its step from the distinct
+    The per-dimension tables are built while ``Σ U_k² · 8`` bytes stay
+    within :data:`DEFAULT_CACHE_BYTES` and within the ``n² · 8`` bytes of a
+    dense matrix (grid-file regions); otherwise (continuous boxes, where
+    ``U_k = n``) each row is computed at its step from the distinct
     intervals.  Rows are bit-for-bit identical either way.
     """
     weights = IntervalWeights(lo, hi, lengths, weight)
     n = weights.n
-    if precompute is True or (
-        precompute == "auto" and weights.table_bytes <= min(cache_bytes, n * n * 8)
-    ):
+    if weights.table_bytes <= min(DEFAULT_CACHE_BYTES, n * n * 8):
         weights.build_tables()
     return weights
 
@@ -117,8 +85,6 @@ def minimax_partition(
     weight: str = "proximity",
     seeding: str = "random",
     seeds: "np.ndarray | None" = None,
-    precompute: "bool | str" = "auto",
-    cache_bytes: "int | None" = None,
     intervals: "IntervalWeights | None" = None,
 ) -> np.ndarray:
     """Partition ``n`` boxes over ``n_disks`` with Algorithm 2.
@@ -139,25 +105,14 @@ def minimax_partition(
     seeding:
         ``"random"`` (paper) or ``"farthest"`` (greedy max-min ablation).
     seeds:
-        Explicit seed bucket indices (length ``n_disks``, distinct);
-        overrides ``seeding``.  Used by tests to compare against reference
-        implementations step by step.
-    precompute:
-        ``"auto"`` (default): build the per-dimension ``U_k × U_k`` weight
-        tables when they fit under ``cache_bytes`` and under a dense
-        ``n × n`` matrix, so each growth step gathers its row instead of
-        computing it.  ``True`` forces the tables, ``False`` always
-        computes rows per step.  The result is bit-for-bit identical
-        either way.
-    cache_bytes:
-        Memory cap (bytes) for the tables under ``"auto"``; ``None``
-        (default) consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment
-        knob and falls back to :data:`DEFAULT_CACHE_BYTES`.  ``0`` always
-        computes rows per step.
+        Explicit seed bucket indices (length ``n_disks``, distinct, each
+        in ``[0, n)``); overrides ``seeding``.  Used by tests to compare
+        against reference implementations step by step.
     intervals:
         Optional prebuilt :class:`~repro.core.proximity.IntervalWeights`
         of these boxes and ``weight`` (e.g. shared across the disk counts
-        of a sweep); takes precedence over ``precompute``.
+        of a sweep).  By default they are built here, with the
+        per-dimension tables when those fit (see :func:`interval_weights`).
 
     Returns
     -------
@@ -168,6 +123,8 @@ def minimax_partition(
     hi = np.asarray(hi, dtype=np.float64)
     n = lo.shape[0]
     m = check_positive_int(n_disks, "n_disks")
+    if seeding not in SEEDINGS:
+        raise ValueError(f"unknown seeding {seeding!r}; choose from {list(SEEDINGS)}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if m > n:
@@ -175,13 +132,9 @@ def minimax_partition(
         return np.arange(n, dtype=np.int64)
     rng = as_rng(rng)
 
-    if precompute not in (True, False, "auto"):
-        raise ValueError(f"precompute must be True, False or 'auto', got {precompute!r}")
     if intervals is None:
         with PROFILER.phase("minimax.weights"):
-            intervals = interval_weights(
-                lo, hi, lengths, weight, precompute, resolve_cache_bytes(cache_bytes)
-            )
+            intervals = interval_weights(lo, hi, lengths, weight)
     elif intervals.n != n or intervals.weight != weight:
         raise ValueError(
             f"intervals hold {intervals.n} {intervals.weight!r} boxes, expected {n} {weight!r}"
@@ -190,14 +143,17 @@ def minimax_partition(
     # Phase 1: seeding.
     if seeds is not None:
         seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.shape != (m,) or len(np.unique(seeds)) != m:
-            raise ValueError(f"seeds must be {m} distinct indices")
+        if (
+            seeds.shape != (m,)
+            or len(np.unique(seeds)) != m
+            or seeds.min() < 0
+            or seeds.max() >= n
+        ):
+            raise ValueError(f"seeds must be {m} distinct indices in [0, {n})")
     elif seeding == "random":
         seeds = rng.choice(n, size=m, replace=False).astype(np.int64)
-    elif seeding == "farthest":
-        seeds = _farthest_point_seeds(lo, hi, lengths, m, rng)
     else:
-        raise ValueError(f"unknown seeding {seeding!r}")
+        seeds = _farthest_point_seeds(lo, hi, lengths, m, rng)
 
     assign = np.full(n, -1, dtype=np.int64)
     assign[seeds] = np.arange(m)
@@ -241,14 +197,6 @@ class Minimax(DeclusteringMethod):
         or ``"euclidean"``.
     seeding:
         Seed placement, ``"random"`` (default) or ``"farthest"``.
-    precompute:
-        Weight-table policy passed to :func:`minimax_partition` —
-        ``"auto"`` (default) builds the per-dimension weight tables when
-        they fit under ``cache_bytes``; assignments are identical either
-        way.
-    cache_bytes:
-        Memory cap for the weight tables (bytes); ``None`` (default)
-        consults the ``REPRO_MINIMAX_CACHE_BYTES`` environment knob.
 
     Notes
     -----
@@ -259,19 +207,13 @@ class Minimax(DeclusteringMethod):
 
     name = "MiniMax"
 
-    def __init__(
-        self,
-        weight: str = "proximity",
-        seeding: str = "random",
-        precompute: "bool | str" = "auto",
-        cache_bytes: "int | None" = None,
-    ):
+    def __init__(self, weight: str = "proximity", seeding: str = "random"):
         if weight not in IntervalWeights.WEIGHTS:
             raise ValueError(f"unknown weight {weight!r}")
+        if seeding not in SEEDINGS:
+            raise ValueError(f"unknown seeding {seeding!r}; choose from {list(SEEDINGS)}")
         self.weight = weight
         self.seeding = seeding
-        self.precompute = precompute
-        self.cache_bytes = resolve_cache_bytes(cache_bytes)
         if weight != "proximity" or seeding != "random":
             self.name = f"MiniMax[{weight},{seeding}]"
         # Memoized (lo, hi, lengths, weights) of the last grid file
@@ -292,9 +234,7 @@ class Minimax(DeclusteringMethod):
         ):
             return memo[3]
         with PROFILER.phase("minimax.weights"):
-            weights = interval_weights(
-                lo, hi, lengths, self.weight, self.precompute, self.cache_bytes
-            )
+            weights = interval_weights(lo, hi, lengths, self.weight)
         self._memo = (lo.copy(), hi.copy(), lengths.copy(), weights)
         return weights
 
@@ -312,8 +252,6 @@ class Minimax(DeclusteringMethod):
             rng=rng,
             weight=self.weight,
             seeding=self.seeding,
-            precompute=self.precompute,
-            cache_bytes=self.cache_bytes,
             intervals=self._interval_weights(lo_ne, hi_ne, gf.scales.lengths),
         )
         assignment = np.zeros(gf.n_buckets, dtype=np.int64)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util import check_lengths
+
 __all__ = [
     "proximity_index",
     "proximity_matrix",
@@ -108,7 +110,7 @@ class IntervalWeights:
     lo, hi:
         ``(n, d)`` box bounds.
     lengths:
-        Domain extent per dimension.
+        Domain extent per dimension: ``(d,)``, finite and positive.
     weight:
         ``"proximity"`` (:func:`proximity_index`) or ``"euclidean"``
         (:func:`euclidean_similarity`).
@@ -121,7 +123,7 @@ class IntervalWeights:
             raise ValueError(f"unknown weight {weight!r}; choose from {sorted(self.WEIGHTS)}")
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        lengths = np.broadcast_to(np.asarray(lengths, dtype=np.float64), lo.shape[1:])
+        lengths = check_lengths(lengths, lo.shape[1])
         self.weight = weight
         self.n = lo.shape[0]
         #: Per dimension: distinct interval bounds, each box's interval

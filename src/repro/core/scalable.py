@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import as_rng, check_positive_int
+from repro._util import as_rng, check_lengths, check_positive_int
 from repro.core.base import DeclusteringMethod, validate_assignment
-from repro.core.minimax import minimax_partition, resolve_cache_bytes
+from repro.core.minimax import minimax_partition
 from repro.core.proximity import euclidean_similarity, proximity_index
 from repro.obs import GLOBAL_METRICS, PROFILER
 from repro.sfc import CURVES
@@ -360,7 +360,6 @@ def scalable_minimax_partition(
     refine_passes: int = 2,
     refine_budget: "int | None" = None,
     graph: "ProximityGraph | None" = None,
-    cache_bytes: "int | None" = None,
 ) -> np.ndarray:
     """Approximate minimax partition scaling to millions of boxes.
 
@@ -388,9 +387,6 @@ def scalable_minimax_partition(
     graph:
         Optional prebuilt :class:`ProximityGraph` (e.g. shared across the
         disk counts of a sweep).
-    cache_bytes:
-        Weight-table cap forwarded to the dense path (both the fallback and
-        the coarse-graph run); ``None`` uses the default / env knob.
 
     Returns
     -------
@@ -406,11 +402,9 @@ def scalable_minimax_partition(
         raise ValueError(f"dense_threshold must be >= 0, got {dense_threshold}")
     if balance_slack < 0:
         raise ValueError(f"balance_slack must be >= 0, got {balance_slack}")
+    lengths = check_lengths(lengths, lo.shape[1])
     if n <= max(dense_threshold, m) or n <= 2:
-        return minimax_partition(
-            lo, hi, lengths, m, rng=rng, weight=weight, seeding=seeding,
-            cache_bytes=resolve_cache_bytes(cache_bytes),
-        )
+        return minimax_partition(lo, hi, lengths, m, rng=rng, weight=weight, seeding=seeding)
     rng = as_rng(rng)
 
     with PROFILER.phase("minimax.sparse.graph"):
@@ -440,7 +434,6 @@ def scalable_minimax_partition(
         coarse = minimax_partition(
             super_lo, super_hi, lengths, min(m, n_chunks), rng=rng,
             weight=weight, seeding=seeding,
-            cache_bytes=resolve_cache_bytes(cache_bytes),
         )
         assign = np.empty(n, dtype=np.int64)
         assign[primary_order] = np.repeat(coarse, sizes)

@@ -24,19 +24,15 @@ event — the causal backbone under the protocol-level records the cluster
 engine adds on top.  With the default ``tracer=None`` the loop is exactly
 the untraced loop.
 
-The pending-event structure is pluggable (``Simulator(queue="calendar")``
-or the ``REPRO_DES_QUEUE`` environment variable): the default binary heap
-pays O(log n) per event, the calendar queue amortized O(1) — million-event
-open-system runs stop paying the heap's log factor.  Both produce the
-identical ``(time, seq)`` pop order, so simulated results do not depend on
-the choice (see :mod:`repro.parallel.eventq`).
+Pending events live in a binary heap of ``(time, seq, Event, callback,
+args)`` tuples; ``(time, seq)`` is unique, so tuple comparison never
+reaches the non-comparable payload.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-
-from repro.parallel.eventq import make_event_queue
 
 __all__ = ["Simulator", "Resource", "Event"]
 
@@ -70,15 +66,10 @@ class Simulator:
         Optional :class:`repro.obs.Tracer`; when enabled, each fired
         callback emits a ``sim.fire`` trace event (cancelled events emit
         nothing).  ``None`` (default) traces nothing.
-    queue:
-        Pending-event structure: ``"heap"`` (binary heap, the legacy
-        default) or ``"calendar"`` (calendar queue, amortized O(1) per
-        event).  ``None`` consults ``REPRO_DES_QUEUE``.  Event ordering —
-        and therefore every simulated result — is identical either way.
     """
 
-    def __init__(self, tracer=None, queue: "str | None" = None):
-        self._queue = make_event_queue(queue)
+    def __init__(self, tracer=None):
+        self._heap: list = []
         self._seq = 0
         self.now = 0.0
         self._tracer = tracer if tracer is not None and tracer.enabled else None
@@ -88,7 +79,7 @@ class Simulator:
         if time < self.now - 1e-12:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         ev = Event(float(time))
-        self._queue.push((float(time), self._seq, ev, callback, args))
+        heapq.heappush(self._heap, (float(time), self._seq, ev, callback, args))
         self._seq += 1
         return ev
 
@@ -107,20 +98,17 @@ class Simulator:
         the run.
         """
         tracer = self._tracer
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None:
-                break
-            time, _, ev, callback, args = head
+        heap = self._heap
+        while heap:
+            time, _, ev, callback, args = heap[0]
             if ev.cancelled:
                 # Cancelled events are discarded without touching the clock
                 # (and never traced — they did not happen).
-                queue.pop()
+                heapq.heappop(heap)
                 continue
             if until is not None and time > until:
                 break
-            queue.pop()
+            heapq.heappop(heap)
             if time > self.now:
                 # Clamp: an event admitted by schedule_at's 1e-12 tolerance
                 # must not move the clock backwards (trace timestamps and
@@ -143,7 +131,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events not yet processed."""
-        return sum(1 for _, _, ev, _, _ in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev, _, _ in self._heap if not ev.cancelled)
 
 
 @dataclass

@@ -71,10 +71,7 @@ class RequestPipeline:
         self.tracer = tracer if tracer is not None else default_tracer()
         self.trace = self.tracer.enabled
         self.metrics = MetricsRegistry()
-        self.sim = Simulator(
-            tracer=self.tracer if self.trace else None,
-            queue=self.params.des_queue,
-        )
+        self.sim = Simulator(tracer=self.tracer if self.trace else None)
         self.queries = list(queries)
         #: Lazy runs (the online engine) plan each query at submit time
         #: against the live store instead of eagerly up front.

@@ -8,7 +8,8 @@ grid files actually survives.  A :class:`FaultPlan` is a schedule of
 exponentials via :meth:`FaultPlan.random_crashes` — and a
 :class:`FaultInjector` binds the plan to one engine run: at each event time
 it mutates the degradable per-node/per-disk state that
-:meth:`repro.parallel.node.WorkerNode.serve` and the cost models consult.
+:class:`repro.parallel.engine.worker.WorkerStage` and the cost models
+consult.
 
 Fault kinds
 -----------

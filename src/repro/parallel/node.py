@@ -26,9 +26,12 @@ class WorkerNode:
 
     Degradable state (mutated by :class:`repro.parallel.faults.FaultInjector`
     mid-run): ``alive`` gates whether delivered requests are served at all,
-    and ``disk_slowdown`` holds a per-local-disk service-time multiplier that
-    :meth:`serve` applies on every read.  Crash/recovery bookkeeping feeds the
-    alive-window utilization in :class:`repro.parallel.cluster.PerfReport`.
+    and ``disk_slowdown`` holds a per-local-disk service-time multiplier
+    that :meth:`disk_service` applies on every read.  Crash/recovery
+    bookkeeping feeds the alive-window utilization in
+    :class:`repro.parallel.cluster.PerfReport`.  The request stages
+    (:meth:`probe_cache`, :meth:`disk_service`, :meth:`finish_request`) are
+    driven by :class:`repro.parallel.engine.worker.WorkerStage`.
     """
 
     node_id: int
@@ -158,70 +161,3 @@ class WorkerNode:
             n_qualified=qualified,
         )
         return cpu_done, reply
-
-    def serve(
-        self,
-        arrival: float,
-        request: BlockRequest,
-        disk_of_bucket,
-        candidates: int,
-        qualified: int,
-        tracer=None,
-        cause=None,
-        metrics=None,
-    ) -> tuple[float, BlockReply]:
-        """Process a block request arriving at ``arrival``.
-
-        Parameters
-        ----------
-        arrival:
-            Simulated arrival time of the request at this node.
-        request:
-            The block request.
-        disk_of_bucket:
-            Callable mapping a bucket id to this node's local disk index.
-        candidates:
-            Number of records in the requested buckets (CPU filter cost).
-        qualified:
-            Number of records inside the query box (reply payload).
-        tracer:
-            Optional enabled :class:`repro.obs.Tracer`; each disk
-            reservation emits a ``disk.read`` event (entity
-            ``node{i}.disk{d}``, reservation window in attrs).
-        cause:
-            Trace id of the causing record (the request arrival).
-        metrics:
-            Optional :class:`repro.obs.MetricsRegistry`; observes the
-            ``disk.service_time`` histogram per reservation.
-
-        Returns
-        -------
-        (ready_time, reply):
-            Time at which the reply payload is ready for the NIC (CPU done),
-            and the reply message.
-        """
-        misses_per_disk, n_misses = self.probe_cache(request, disk_of_bucket)
-
-        # Disks work in parallel; each disk serves its blocks as one request.
-        # A degraded disk's fault-injected slowdown multiplies service time.
-        disk_done = arrival
-        for d, n_blocks in misses_per_disk.items():
-            service, slow = self.disk_service(d, n_blocks)
-            start, end = self.disks[d].reserve(arrival, service)
-            if metrics is not None:
-                metrics.histogram("disk.service_time").observe(service)
-            if tracer is not None:
-                tracer.event(
-                    "disk.read",
-                    arrival,
-                    entity=f"node{self.node_id}.disk{d}",
-                    cause=cause,
-                    n_blocks=n_blocks,
-                    start=start,
-                    end=end,
-                    slowdown=slow,
-                )
-            disk_done = max(disk_done, end)
-
-        # CPU filtering starts when all blocks are in memory.
-        return self.finish_request(disk_done, request, candidates, qualified, n_misses)

@@ -183,7 +183,7 @@ def _response_times_reference(
 def response_times(
     bucket_lists, assignment: np.ndarray, n_disks: int
 ) -> np.ndarray:
-    """Per-query ``max_i N_i(q)`` for precomputed per-query bucket lists.
+    """Per-query ``max_i N_i(q)`` for already-computed per-query bucket lists.
 
     Fully vectorized: one segmented bincount into a ``(queries, disks)``
     count matrix per block of queries, followed by a row max.  Accepts a
@@ -233,7 +233,7 @@ def evaluate_queries(
     n_disks:
         Number of disks ``M``.
     bucket_lists:
-        Optional precomputed :class:`BucketListSet` (or plain list output of
+        Optional prebuilt :class:`BucketListSet` (or plain list output of
         :func:`query_buckets`).  Query resolution is independent of the
         assignment, so sweeps over methods and disk counts should compute it
         once with :func:`resolve_query_buckets`.

@@ -81,7 +81,7 @@ def closest_pairs_same_disk(
     assignment:
         ``(n_buckets,)`` disk ids.
     neighbors:
-        Optional precomputed :func:`nearest_neighbors` over the non-empty
+        Optional already-computed :func:`nearest_neighbors` over the non-empty
         buckets (pass it when sweeping methods over one grid file).
     """
     assignment = np.asarray(assignment, dtype=np.int64)

@@ -132,11 +132,9 @@ class StorageEngine:
             self.store = make_block_store("memory", page_size=page_size)
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
-            kwargs = {}
-            if backend == "file" and file_factory is not None:
-                kwargs["file_factory"] = file_factory
             self.store = make_block_store(
-                backend, self.directory / DATA_FILE, page_size=page_size, **kwargs
+                backend, self.directory / DATA_FILE, page_size=page_size,
+                file_factory=file_factory,
             )
         self.wal = None
         if durability != "off" and backend != "memory":

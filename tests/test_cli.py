@@ -34,6 +34,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fault-sim", "hot.2d", "--scheme", "raid6"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster-sim", "uniform.2d", "--des-queue", "heap"],
+            ["online-sim", "uniform.2d", "--store", "mmap", "--store-path", "st"],
+            ["sql", "--store", "mmap", "--store-path", "st"],
+            ["fsck", "st", "--backend", "file"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -351,7 +366,6 @@ class TestFsckCommand:
 
     def test_fsck_parser_defaults(self):
         args = build_parser().parse_args(["fsck", "/tmp/x"])
-        assert args.backend == "file"
         assert args.page_size == 4096
         assert not args.repair
 

@@ -103,6 +103,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             minimax_partition(lo, hi, L2, 2, seeds=np.array([1]))
 
+    def test_out_of_range_seeds_rejected(self, rng):
+        """``-1`` would alias the last box and ``n`` would index past it."""
+        lo, hi = random_boxes(50, rng)
+        for seeds in ([49, -1, 0, 1], [0, 1, 2, 50], [0, 1, 2, 99]):
+            with pytest.raises(ValueError, match="seeds"):
+                minimax_partition(lo, hi, L2, 4, seeds=np.array(seeds))
+        out = minimax_partition(lo, hi, L2, 4, seeds=np.array([49, 48, 0, 1]))
+        assert out.min() == 0 and out.max() == 3
+
     def test_unknown_weight(self, rng):
         lo, hi = random_boxes(5, rng)
         with pytest.raises(ValueError):
@@ -112,6 +121,12 @@ class TestEdgeCases:
         lo, hi = random_boxes(5, rng)
         with pytest.raises(ValueError):
             minimax_partition(lo, hi, L2, 2, seeding="grid")
+
+    def test_unknown_seeding_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seeding"):
+            Minimax(seeding="bogus")
+        with pytest.raises(ValueError, match="weight"):
+            Minimax(weight="bogus")
 
     def test_deterministic_given_seed(self, rng):
         lo, hi = random_boxes(30, rng)

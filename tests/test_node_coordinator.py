@@ -5,10 +5,24 @@ import pytest
 
 from repro.core import Minimax
 from repro.gridfile import RangeQuery
+from repro.parallel import ClusterParams, ParallelGridFile
 from repro.parallel.coordinator import Coordinator
 from repro.parallel.disk import DiskModel
 from repro.parallel.message import BlockRequest
 from repro.parallel.node import WorkerNode
+
+
+def serve(node, arrival, request, disk_of_bucket, candidates, qualified):
+    """One block request through the stages :class:`WorkerStage` runs on a
+    node under the FIFO discipline: cache probe, parallel per-disk reads,
+    then the filter pass.  Returns ``(ready_time, reply)``."""
+    misses_per_disk, n_misses = node.probe_cache(request, disk_of_bucket)
+    disk_done = arrival
+    for d, n_blocks in misses_per_disk.items():
+        service, _ = node.disk_service(d, n_blocks)
+        _, end = node.disks[d].reserve(arrival, service)
+        disk_done = max(disk_done, end)
+    return node.finish_request(disk_done, request, candidates, qualified, n_misses)
 
 
 class TestWorkerNode:
@@ -18,7 +32,7 @@ class TestWorkerNode:
     def test_serve_counts(self):
         node = self.make_node()
         req = BlockRequest(0, 0, np.array([1, 2, 3]))
-        ready, reply = node.serve(0.0, req, lambda b: 0, candidates=100, qualified=10)
+        ready, reply = serve(node, 0.0, req, lambda b: 0, candidates=100, qualified=10)
         assert reply.n_blocks == 3
         assert reply.n_cache_misses == 3
         assert reply.n_candidates == 100
@@ -28,9 +42,11 @@ class TestWorkerNode:
     def test_cache_hits_skip_disk(self):
         node = self.make_node()
         req = BlockRequest(0, 0, np.array([1, 2]))
-        t1, _ = node.serve(0.0, req, lambda b: 0, 10, 1)
+        t1, _ = serve(node, 0.0, req, lambda b: 0, 10, 1)
         busy_after_first = node.disks[0].busy_time
-        t2, reply = node.serve(t1, BlockRequest(1, 0, np.array([1, 2])), lambda b: 0, 10, 1)
+        misses, n_misses = node.probe_cache(BlockRequest(1, 0, np.array([1, 2])), lambda b: 0)
+        assert (misses, n_misses) == ({}, 0)  # no disk job to submit
+        t2, reply = serve(node, t1, BlockRequest(2, 0, np.array([1, 2])), lambda b: 0, 10, 1)
         assert reply.n_cache_misses == 0
         assert node.disks[0].busy_time == busy_after_first  # no new disk work
 
@@ -38,18 +54,33 @@ class TestWorkerNode:
         """Blocks split over two disks finish earlier than on one disk."""
         one = self.make_node(cache_blocks=0, disks=1)
         two = self.make_node(cache_blocks=0, disks=2)
-        req = BlockRequest(0, 0, np.arange(8))
-        t_one, _ = one.serve(0.0, req, lambda b: 0, 0, 0)
-        t_two, _ = two.serve(0.0, BlockRequest(0, 0, np.arange(8)), lambda b: b % 2, 0, 0)
+        split, _ = two.probe_cache(BlockRequest(0, 0, np.arange(8)), lambda b: b % 2)
+        assert split == {0: 4, 1: 4}
+        t_one, _ = serve(one, 0.0, BlockRequest(0, 0, np.arange(8)), lambda b: 0, 0, 0)
+        t_two, _ = serve(two, 0.0, BlockRequest(0, 0, np.arange(8)), lambda b: b % 2, 0, 0)
         assert t_two < t_one
 
     def test_stats_accumulate(self):
         node = self.make_node()
-        node.serve(0.0, BlockRequest(0, 0, np.array([1])), lambda b: 0, 5, 2)
-        node.serve(1.0, BlockRequest(1, 0, np.array([2])), lambda b: 0, 7, 3)
+        serve(node, 0.0, BlockRequest(0, 0, np.array([1])), lambda b: 0, 5, 2)
+        serve(node, 1.0, BlockRequest(1, 0, np.array([2])), lambda b: 0, 7, 3)
         assert node.blocks_requested == 2
+        assert node.blocks_read == 2
         assert node.records_filtered == 12
         assert node.records_qualified == 5
+
+    def test_pipeline_run_counts_worker_stages(self, small_gridfile):
+        """Two queries through the real pipeline: every block a node is
+        asked for is either a cache hit or a disk read."""
+        gf = small_gridfile
+        assignment = Minimax().assign(gf, 4, rng=0)
+        q = RangeQuery(np.array([200.0, 200.0]), np.array([1400.0, 1400.0]))
+        pgf = ParallelGridFile(gf, assignment, 4, ClusterParams(disks_per_node=2))
+        report = pgf.run_queries([q, q])
+        planned = int(pgf.coordinator.plan(0, q).blocks_per_disk.sum())
+        assert planned > 0
+        assert report.blocks_requested_total == 2 * planned
+        assert report.blocks_read == planned  # the repeat is served from cache
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.minimax import minimax_partition
+from repro.core.proximity import IntervalWeights
 from repro.gridfile import GridFile
 from repro.sim import square_queries, sweep_methods
 from repro.sim.diskmodel import (
@@ -160,14 +161,19 @@ class TestBucketSizesCache:
 
 class TestMinimaxPrecomputeParity:
     def test_precompute_modes_identical(self, rng):
+        """Prebuilt tables, per-step rows and the default policy agree."""
         n = 120
         lo = rng.uniform(0, 9, size=(n, 3))
         hi = np.minimum(lo + rng.uniform(0.05, 0.5, size=(n, 3)), 10.0)
         lengths = np.array([10.0, 10.0, 10.0])
         seeds = rng.choice(n, size=8, replace=False)
         results = [
-            minimax_partition(lo, hi, lengths, 8, seeds=seeds, precompute=mode)
-            for mode in (True, False, "auto")
+            minimax_partition(lo, hi, lengths, 8, seeds=seeds, intervals=intervals)
+            for intervals in (
+                IntervalWeights(lo, hi, lengths).build_tables(),
+                IntervalWeights(lo, hi, lengths),
+                None,
+            )
         ]
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])

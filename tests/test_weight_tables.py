@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.minimax as minimax_mod
 from repro.core import Minimax
 from repro.core.minimax import interval_weights, minimax_partition
 from repro.core.proximity import (
@@ -19,6 +20,7 @@ from repro.core.proximity import (
     proximity_index,
     proximity_matrix,
 )
+from repro.core.scalable import scalable_minimax_partition
 from repro.obs import GLOBAL_METRICS
 
 ORACLES = {"proximity": proximity_index, "euclidean": euclidean_similarity}
@@ -145,45 +147,71 @@ class TestProximityMatrix:
             IntervalWeights(np.zeros((2, 1)), np.ones((2, 1)), [1.0], "manhattan")
 
 
+@pytest.mark.parametrize(
+    "lengths", [[10.0, 0.0], [10.0, -1.0], [10.0, np.inf], [10.0, np.nan], [10.0], [[10.0, 10.0]]]
+)
+def test_invalid_lengths_rejected(lengths):
+    """Zero, negative, non-finite or misshapen domain lengths would give
+    NaN weights and ``-1`` disk ids; every entry point refuses them."""
+    lo, hi = grid_boxes(50, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lengths"):
+        IntervalWeights(lo, hi, lengths)
+    with pytest.raises(ValueError, match="lengths"):
+        minimax_partition(lo, hi, lengths, 4, rng=0)
+    for threshold in (4096, 0):
+        with pytest.raises(ValueError, match="lengths"):
+            scalable_minimax_partition(lo, hi, lengths, 4, rng=0, dense_threshold=threshold)
+
+
 class TestTablePolicy:
+    """Tables are built when ``Σ U_k² · 8`` fits both the module cap and a
+    dense ``n × n`` matrix; otherwise rows are streamed."""
+
     def test_auto_builds_tables_for_shared_intervals(self, rng):
         lo, hi = grid_boxes(200, 2, rng)
-        assert interval_weights(lo, hi, [10.0, 10.0], "proximity", "auto", 1 << 20).tables is not None
+        assert interval_weights(lo, hi, [10.0, 10.0], "proximity").tables is not None
 
     def test_auto_streams_when_tables_exceed_a_dense_matrix(self, rng):
         lo, hi = continuous_boxes(200, 2, rng)
-        assert interval_weights(lo, hi, [10.0, 10.0], "proximity", "auto", 1 << 30).tables is None
+        assert interval_weights(lo, hi, [10.0, 10.0], "proximity").tables is None
 
-    def test_cap_and_forcing(self, rng):
+    def test_cap(self, rng, monkeypatch):
         lo, hi = grid_boxes(200, 2, rng)
-        L = [10.0, 10.0]
-        assert interval_weights(lo, hi, L, "proximity", "auto", 0).tables is None
-        assert interval_weights(lo, hi, L, "proximity", False, 1 << 30).tables is None
-        lo, hi = continuous_boxes(200, 2, rng)
-        assert interval_weights(lo, hi, L, "proximity", True, 0).tables is not None
+        w = interval_weights(lo, hi, [10.0, 10.0], "proximity")
+        monkeypatch.setattr(minimax_mod, "DEFAULT_CACHE_BYTES", w.table_bytes - 1)
+        assert interval_weights(lo, hi, [10.0, 10.0], "proximity").tables is None
+        monkeypatch.setattr(minimax_mod, "DEFAULT_CACHE_BYTES", w.table_bytes)
+        assert interval_weights(lo, hi, [10.0, 10.0], "proximity").tables is not None
 
     @pytest.mark.parametrize("weight", sorted(ORACLES))
     @pytest.mark.parametrize("kind", ["grid", "continuous"])
     def test_precompute_modes_give_identical_partitions(self, kind, weight):
+        """Streamed and tabled weights (and the default policy) partition
+        identically."""
         rng = np.random.default_rng(3)
         lo, hi = GENERATORS[kind](150, 3, rng)
         L = np.full(3, 10.0)
         runs = [
-            minimax_partition(lo, hi, L, 6, rng=4, weight=weight, precompute=mode)
-            for mode in (True, False, "auto")
+            minimax_partition(lo, hi, L, 6, rng=4, weight=weight, intervals=intervals)
+            for intervals in (
+                IntervalWeights(lo, hi, L, weight).build_tables(),
+                IntervalWeights(lo, hi, L, weight),
+                None,
+            )
         ]
-        runs.append(minimax_partition(lo, hi, L, 6, rng=4, weight=weight, cache_bytes=0))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0], other)
 
     def test_rows_counted_as_hits_or_misses(self, rng):
         lo, hi = grid_boxes(50, 2, rng)
+        L = [10.0, 10.0]
         hits = GLOBAL_METRICS.counter("minimax.cache.hits")
         misses = GLOBAL_METRICS.counter("minimax.cache.misses")
         h0, m0 = hits.value, misses.value
-        minimax_partition(lo, hi, [10.0, 10.0], 4, rng=0, precompute=True)
+        tabled = IntervalWeights(lo, hi, L).build_tables()
+        minimax_partition(lo, hi, L, 4, rng=0, intervals=tabled)
         assert (hits.value - h0, misses.value - m0) == (50, 0)
-        minimax_partition(lo, hi, [10.0, 10.0], 4, rng=0, precompute=False)
+        minimax_partition(lo, hi, L, 4, rng=0, intervals=IntervalWeights(lo, hi, L))
         assert (hits.value - h0, misses.value - m0) == (50, 50)
 
     def test_prebuilt_intervals_must_match(self, rng):
