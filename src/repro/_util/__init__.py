@@ -4,6 +4,7 @@ Nothing in this package is part of the public API; the stable surface is
 re-exported from :mod:`repro` and its subpackages.
 """
 
+from repro._util.norms import row_norms
 from repro._util.plot import line_chart
 from repro._util.rng import as_rng, spawn_rng
 from repro._util.tables import format_table, format_series
@@ -20,6 +21,7 @@ __all__ = [
     "format_table",
     "format_series",
     "line_chart",
+    "row_norms",
     "check_dimension",
     "check_lengths",
     "check_positive_int",

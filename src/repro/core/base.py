@@ -133,7 +133,11 @@ class IndexBasedMethod(DeclusteringMethod):
         """Lift the per-cell scheme to ``gf``'s buckets via conflict resolution."""
         rng = as_rng(rng)
         grid = self.disk_grid(gf.directory.shape, n_disks)
-        alternatives = [grid[b.cellbox.slices()].ravel() for b in gf.buckets]
+        cell_lo, cell_hi = gf.bucket_cell_boxes()
+        alternatives = [
+            grid[tuple(map(slice, lo, hi))].ravel()
+            for lo, hi in zip(cell_lo.tolist(), cell_hi.tolist())
+        ]
         reg_lo, reg_hi = gf.bucket_regions()
         volumes = np.prod(reg_hi - reg_lo, axis=1)
         resolver = CONFLICT_HEURISTICS[self.conflict]

@@ -449,51 +449,22 @@ def scalable_minimax_partition(
     return assign
 
 
-def _region_blocks(source, block: int):
-    """Yield ``(lo, hi)`` region blocks plus domain lengths from a source.
+def bulk_assign(source, n_disks: int, rng=None, **kwargs) -> np.ndarray:
+    """Bulk-load declustering of a grid file.
 
-    Accepts a :class:`GridFile` (or anything with ``buckets`` + ``scales``,
-    e.g. the live file of a :class:`DurableGridFile` which is unwrapped via
-    its ``gf`` attribute) and streams bucket regions ``block`` buckets at a
-    time — the full region arrays are accumulated (O(N·d)), but no
-    intermediate all-buckets Python list and never any pairwise weights.
-    """
-    gf = getattr(source, "gf", source)
-    buckets = gf.buckets
-    scales = gf.scales
-    for s in range(0, len(buckets), block):
-        chunk = buckets[s : s + block]
-        cell_lo = np.stack([b.cellbox.lo for b in chunk])
-        cell_hi = np.stack([b.cellbox.hi for b in chunk])
-        yield scales.box_bounds(cell_lo, cell_hi)
-
-
-def bulk_assign(
-    source,
-    n_disks: int,
-    rng=None,
-    *,
-    block: int = 65536,
-    **kwargs,
-) -> np.ndarray:
-    """Streaming bulk-load declustering of a grid file.
-
-    Streams bucket regions out of ``source`` (a
-    :class:`~repro.gridfile.gridfile.GridFile`, a
-    :class:`~repro.storage.gridstore.DurableGridFile`, or any object with
-    ``buckets`` and ``scales``) in blocks of ``block`` buckets, then runs
-    :func:`scalable_minimax_partition` over the non-empty buckets —
-    O(N·k + C²) memory end to end, no dense weight matrix at any point.
-    Empty buckets are dealt round-robin (they occupy no disk page).
+    Reads the bucket regions of ``source`` (a
+    :class:`~repro.gridfile.gridfile.GridFile`, or a
+    :class:`~repro.storage.gridstore.DurableGridFile`, whose live ``gf`` is
+    used) once, then runs :func:`scalable_minimax_partition` over the
+    non-empty buckets — O(N·k + C²) memory end to end, no dense weight
+    matrix at any point.  Empty buckets are dealt round-robin (they occupy
+    no disk page).
 
     Keyword arguments are forwarded to :func:`scalable_minimax_partition`.
     """
     gf = getattr(source, "gf", source)
-    check_positive_int(block, "block")
     with PROFILER.phase("minimax.sparse.bulkload"):
-        parts = list(_region_blocks(gf, block))
-        lo = np.concatenate([p[0] for p in parts])
-        hi = np.concatenate([p[1] for p in parts])
+        lo, hi = gf.bucket_regions()
     nonempty = gf.nonempty_bucket_ids()
     n = lo.shape[0]
     part = scalable_minimax_partition(

@@ -27,12 +27,10 @@ from repro.gridfile.gridfile import GridFile
 from repro.gridfile.knn import knn_query
 from repro.gridfile.persistence import export_declustered
 from repro.gridfile.query import PartialMatchQuery, RangeQuery
-from repro.gridfile.regions import CellBox
 from repro.gridfile.scales import Scales
 
 __all__ = [
     "Bucket",
-    "CellBox",
     "Directory",
     "GridFile",
     "knn_query",

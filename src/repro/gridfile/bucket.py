@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gridfile.regions import CellBox
-
 __all__ = ["Bucket"]
 
 
@@ -13,7 +11,9 @@ class Bucket:
     """A grid-file data bucket.
 
     A bucket stores the records of a box-shaped region of grid cells and is
-    the unit placed on a disk by declustering.  Records are held as integer
+    the unit placed on a disk by declustering.  The region itself is kept by
+    the owning grid file (:meth:`GridFile.bucket_cell_boxes`, one row per
+    bucket id).  Records are held as integer
     ids into the grid file's shared point array (column-oriented storage —
     the numpy-friendly layout the simulation works on).
 
@@ -21,8 +21,6 @@ class Bucket:
     ----------
     id:
         Stable bucket id; also the value stored in the directory.
-    cellbox:
-        Box of directory cells covered by this bucket.
     record_ids:
         List of record indices into ``GridFile.points``.  Assigning a new
         list drops :attr:`coords`; code that mutates the list in place
@@ -39,11 +37,10 @@ class Bucket:
         this situation; we keep the records in place and flag it.
     """
 
-    __slots__ = ("id", "cellbox", "_record_ids", "coords", "overflowed")
+    __slots__ = ("id", "_record_ids", "coords", "overflowed")
 
-    def __init__(self, bucket_id: int, cellbox: CellBox, record_ids=None):
+    def __init__(self, bucket_id: int, record_ids=None):
         self.id = int(bucket_id)
-        self.cellbox = cellbox
         self.record_ids = list(record_ids) if record_ids is not None else []
         self.overflowed = False
 
@@ -62,17 +59,9 @@ class Bucket:
         """Number of records currently stored."""
         return len(self._record_ids)
 
-    @property
-    def is_merged(self) -> bool:
-        """Whether the bucket covers more than one grid cell."""
-        return self.cellbox.n_cells > 1
-
     def record_array(self) -> np.ndarray:
         """Record ids as an int64 array (copy)."""
         return np.asarray(self._record_ids, dtype=np.int64)
 
     def __repr__(self) -> str:
-        return (
-            f"Bucket(id={self.id}, cells={self.cellbox.n_cells}, "
-            f"records={self.n_records})"
-        )
+        return f"Bucket(id={self.id}, records={self.n_records})"

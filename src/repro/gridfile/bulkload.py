@@ -26,7 +26,6 @@ from repro._util import check_positive_int
 from repro.gridfile.bucket import Bucket
 from repro.gridfile.directory import Directory
 from repro.gridfile.gridfile import GridFile
-from repro.gridfile.regions import CellBox
 from repro.gridfile.scales import Scales
 
 __all__ = ["bulk_load", "quantile_boundaries", "equal_width_boundaries"]
@@ -54,29 +53,28 @@ def equal_width_boundaries(n_intervals: int, lo: float, hi: float) -> np.ndarray
     return np.linspace(lo, hi, n_intervals + 1)[1:-1]
 
 
-def _buddy_split(counts: np.ndarray, capacity: int) -> list[CellBox]:
+def _buddy_split(counts: np.ndarray, capacity: int) -> list[tuple[tuple, tuple]]:
     """Recursively halve the cell grid into boxes holding <= capacity records.
 
     Splits along the dimension with the largest cell span (ties to the lowest
     dimension), at the span midpoint — the buddy-system discipline that keeps
     regions re-mergeable.  Boxes that cannot shrink further (single cell)
-    become buckets regardless of count.
+    become buckets regardless of count.  Returns half-open cell boxes
+    ``(lo, hi)``.
     """
-    d = counts.ndim
-    full = CellBox(np.zeros(d, dtype=np.int64), np.asarray(counts.shape, dtype=np.int64))
-    out: list[CellBox] = []
-    stack = [full]
+    out = []
+    stack = [((0,) * counts.ndim, counts.shape)]
     while stack:
-        box = stack.pop()
-        total = int(counts[box.slices()].sum())
-        if total <= capacity or box.n_cells == 1:
-            out.append(box)
+        lo, hi = stack.pop()
+        span = [h - l for l, h in zip(lo, hi)]
+        total = int(counts[tuple(map(slice, lo, hi))].sum())
+        if total <= capacity or max(span) == 1:
+            out.append((lo, hi))
             continue
-        k = int(np.argmax(box.span))
-        cut = int(box.lo[k] + box.span[k] // 2)
-        lower, upper = box.split_at(k, cut)
-        stack.append(upper)
-        stack.append(lower)
+        k = span.index(max(span))
+        cut = lo[k] + span[k] // 2
+        stack.append((lo[:k] + (cut,) + lo[k + 1 :], hi))  # upper half
+        stack.append((lo, hi[:k] + (cut,) + hi[k + 1 :]))  # lower half
     return out
 
 
@@ -146,11 +144,10 @@ def bulk_load(
     boxes = _buddy_split(counts, capacity)
 
     directory = Directory(shape, fill=-1)
-    buckets = []
-    for bid, box in enumerate(boxes):
-        directory.set_box(box, bid)
-        buckets.append(Bucket(bid, box))
+    for bid, (lo, hi) in enumerate(boxes):
+        directory.set_box(lo, hi, bid)
     assert (directory.grid >= 0).all()
+    buckets = [Bucket(bid) for bid in range(len(boxes))]
 
     owner = directory.grid.reshape(-1)[flat]
     order = np.argsort(owner, kind="stable")

@@ -16,7 +16,6 @@ from repro.gridfile.bucket import Bucket
 from repro.gridfile.bulkload import equal_width_boundaries, quantile_boundaries
 from repro.gridfile.directory import Directory
 from repro.gridfile.gridfile import GridFile
-from repro.gridfile.regions import CellBox
 from repro.gridfile.scales import Scales
 
 __all__ = ["cartesian_scales", "cartesian_product_file"]
@@ -85,10 +84,7 @@ def cartesian_product_file(
     n_cells = int(np.prod(shape))
     directory = Directory.from_array(np.arange(n_cells, dtype=np.int32).reshape(shape))
 
-    buckets = []
-    for flat in range(n_cells):
-        cell = np.array(np.unravel_index(flat, shape), dtype=np.int64)
-        buckets.append(Bucket(flat, CellBox.single(cell)))
+    buckets = [Bucket(flat) for flat in range(n_cells)]
 
     if len(points):
         cells = scales.locate(points)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gridfile.regions import CellBox
-
 __all__ = ["Directory"]
 
 
@@ -60,9 +58,9 @@ class Directory:
         cells = np.asarray(cells, dtype=np.int64)
         return self.grid[tuple(cells[:, k] for k in range(self.dims))]
 
-    def set_box(self, box: CellBox, bucket_id: int) -> None:
-        """Assign every cell in ``box`` to ``bucket_id``."""
-        self.grid[box.slices()] = bucket_id
+    def set_box(self, lo, hi, bucket_id: int) -> None:
+        """Assign every cell of the half-open box ``[lo, hi)`` to ``bucket_id``."""
+        self.grid[tuple(map(slice, lo, hi))] = bucket_id
 
     def buckets_in_ranges(self, ranges) -> np.ndarray:
         """Unique bucket ids inside per-dimension half-open cell ranges.
@@ -84,9 +82,10 @@ class Directory:
         """Duplicate interval ``interval`` along ``dim`` (scale refinement).
 
         After refinement the old interval's cells appear twice (indices
-        ``interval`` and ``interval + 1``); bucket regions are preserved —
-        callers must also shift every bucket's :class:`CellBox` via
-        :meth:`CellBox.shift_for_refinement`.
+        ``interval`` and ``interval + 1``); bucket regions are preserved.
+        Callers that keep cell boxes must shift them too: along ``dim``
+        every box bound above ``interval`` moves up by one (``GridFile``
+        does this for all its buckets in one vectorised step).
         """
         if not 0 <= interval < self.grid.shape[dim]:
             raise IndexError(
@@ -103,8 +102,8 @@ class Directory:
             axis=dim,
         )
 
-    def region_of(self, bucket_id: int) -> CellBox:
-        """Bounding cell box of all cells carrying ``bucket_id``.
+    def region_of(self, bucket_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bounding cell box ``(lo, hi)`` of all cells carrying ``bucket_id``.
 
         For a well-formed grid file this box contains *only* that bucket's
         cells (checked by ``GridFile.check_invariants``).
@@ -115,7 +114,7 @@ class Directory:
         idx = np.nonzero(mask)
         lo = np.array([int(ix.min()) for ix in idx], dtype=np.int64)
         hi = np.array([int(ix.max()) + 1 for ix in idx], dtype=np.int64)
-        return CellBox(lo, hi)
+        return lo, hi
 
     def copy(self) -> "Directory":
         """Deep copy."""

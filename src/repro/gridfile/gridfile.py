@@ -26,7 +26,6 @@ import numpy as np
 from repro._util import check_positive_int
 from repro.gridfile.bucket import Bucket
 from repro.gridfile.directory import Directory
-from repro.gridfile.regions import CellBox
 from repro.gridfile.scales import Scales
 
 __all__ = ["GridFile", "GridFileStats"]
@@ -68,9 +67,11 @@ class GridFile:
     scales:
         Per-dimension split points.
     directory:
-        Cell-to-bucket map; must match ``scales.nintervals``.
+        Cell-to-bucket map; must match ``scales.nintervals`` and name every
+        bucket id ``0 .. len(buckets) - 1``, each on a box of cells.
     buckets:
-        Bucket list indexed by bucket id.
+        Bucket list indexed by bucket id.  Their cell boxes are derived from
+        ``directory``.
     points:
         ``(n, d)`` coordinate array shared by all buckets.
     capacity:
@@ -109,6 +110,9 @@ class GridFile:
         self.points = np.asarray(points, dtype=np.float64)
         self.capacity = check_positive_int(capacity, "capacity", minimum=2)
         self.split_policy = split_policy
+        #: Cell box ``[lo, hi)`` of every bucket, one row per bucket id.
+        #: Rows past ``len(buckets)`` are spare capacity for splits.
+        self._cell_lo, self._cell_hi = _directory_boxes(directory.grid, len(buckets))
         self._n = self.points.shape[0]
         self._next_split_dim = 0
         self._deleted: set[int] = set()
@@ -141,12 +145,10 @@ class GridFile:
     ) -> "GridFile":
         """An empty grid file: one bucket covering the whole domain."""
         scales = Scales(domain_lo, domain_hi)
-        directory = Directory(scales.nintervals, fill=0)
-        box = CellBox(np.zeros(scales.dims, dtype=np.int64), np.ones(scales.dims, dtype=np.int64))
         gf = cls(
             scales,
-            directory,
-            [Bucket(0, box)],
+            Directory(scales.nintervals, fill=0),
+            [Bucket(0)],
             np.empty((0, scales.dims), dtype=np.float64),
             capacity,
             split_policy,
@@ -342,32 +344,28 @@ class GridFile:
 
     def _find_buddy(self, bucket: Bucket) -> "Bucket | None":
         """A neighbour whose region + this one forms a box and fits a merge."""
-        box = bucket.cellbox
+        lo, hi = self._cell_lo[bucket.id], self._cell_hi[bucket.id]
         shape = self.directory.shape
         budget = self.merge_fill * self.capacity
         for k in range(self.dims):
             for side in (1, -1):
-                probe = box.lo.copy()
+                probe = lo.copy()
                 if side == 1:
-                    if box.hi[k] >= shape[k]:
+                    if hi[k] >= shape[k]:
                         continue
-                    probe[k] = box.hi[k]
+                    probe[k] = hi[k]
                 else:
-                    if box.lo[k] == 0:
+                    if lo[k] == 0:
                         continue
-                    probe[k] = box.lo[k] - 1
+                    probe[k] = lo[k] - 1
                 other = self.buckets[self.directory.bucket_at(probe)]
                 if other is bucket:
                     continue
-                obox = other.cellbox
-                aligned = all(
-                    obox.lo[j] == box.lo[j] and obox.hi[j] == box.hi[j]
-                    for j in range(self.dims)
-                    if j != k
-                )
-                touching = (
-                    obox.lo[k] == box.hi[k] if side == 1 else obox.hi[k] == box.lo[k]
-                )
+                olo, ohi = self._cell_lo[other.id], self._cell_hi[other.id]
+                same = (olo == lo) & (ohi == hi)
+                same[k] = True
+                aligned = bool(same.all())
+                touching = olo[k] == hi[k] if side == 1 else ohi[k] == lo[k]
                 if (
                     aligned
                     and touching
@@ -380,18 +378,19 @@ class GridFile:
     def _merge_buckets(self, a: Bucket, b: Bucket) -> Bucket:
         """Merge buddy buckets; returns the surviving bucket."""
         self.invalidate_caches()
-        lo = np.minimum(a.cellbox.lo, b.cellbox.lo)
-        hi = np.maximum(a.cellbox.hi, b.cellbox.hi)
-        a.cellbox = CellBox(lo, hi)
+        lo = np.minimum(self._cell_lo[a.id], self._cell_lo[b.id])
+        hi = np.maximum(self._cell_hi[a.id], self._cell_hi[b.id])
+        self._cell_lo[a.id] = lo
+        self._cell_hi[a.id] = hi
         a.record_ids.extend(b.record_ids)
         a.coords = None
         b.record_ids = []
-        self.directory.set_box(a.cellbox, a.id)
+        self.directory.set_box(lo, hi, a.id)
         if self._listeners:
             self._emit("merge", a.id, b.id)
         self._remove_bucket(b.id)
         # ``a`` may have been renumbered by the swap-removal.
-        return self.buckets[self.directory.bucket_at(a.cellbox.lo)]
+        return self.buckets[self.directory.bucket_at(lo)]
 
     def _remove_bucket(self, bid: int) -> None:
         """Delete a bucket id, renumbering the last bucket into its slot."""
@@ -401,7 +400,9 @@ class GridFile:
             moved = self.buckets[last]
             moved.id = bid
             self.buckets[bid] = moved
-            self.directory.set_box(moved.cellbox, bid)
+            self._cell_lo[bid] = self._cell_lo[last]
+            self._cell_hi[bid] = self._cell_hi[last]
+            self.directory.set_box(self._cell_lo[bid], self._cell_hi[bid], bid)
         self.buckets.pop()
         if self._listeners:
             self._emit("remove", bid, last if bid != last else None)
@@ -418,9 +419,16 @@ class GridFile:
                 if new.n_records > self.capacity:
                     stack.append(new)
 
-    def _new_bucket(self, box: CellBox, record_ids=None) -> Bucket:
+    def _new_bucket(self, lo, hi, record_ids=None) -> Bucket:
         self.invalidate_caches()
-        b = Bucket(len(self.buckets), box, record_ids)
+        bid = len(self.buckets)
+        if bid == self._cell_lo.shape[0]:
+            grow = ((0, max(16, bid)), (0, 0))
+            self._cell_lo = np.pad(self._cell_lo, grow)
+            self._cell_hi = np.pad(self._cell_hi, grow)
+        self._cell_lo[bid] = lo
+        self._cell_hi[bid] = hi
+        b = Bucket(bid, record_ids)
         self.buckets.append(b)
         return b
 
@@ -430,18 +438,23 @@ class GridFile:
         Returns the newly created bucket, or ``None`` when the records cannot
         be separated by any boundary (all coincide in every dimension).
         """
-        if b.cellbox.n_cells == 1 and not self._refine_for(b):
+        single_cell = (self._cell_hi[b.id] - self._cell_lo[b.id] == 1).all()
+        if single_cell and not self._refine_for(b):
             return None
         self.invalidate_caches()
         dim, cut = self._choose_cut(b)
-        lower, upper = b.cellbox.split_at(dim, cut)
+        # The upper half ``[lo with lo[dim] = cut, hi)`` becomes the new
+        # bucket; ``b`` keeps the lower half ``[lo, hi with hi[dim] = cut)``.
+        upper_lo = self._cell_lo[b.id].copy()
+        upper_lo[dim] = cut
+        upper_hi = self._cell_hi[b.id].copy()
         plane = self.scales.edges(dim)[cut]
         rec = b.record_array()
         upper_mask = self.points[rec, dim] >= plane
-        new = self._new_bucket(upper, rec[upper_mask].tolist())
+        new = self._new_bucket(upper_lo, upper_hi, rec[upper_mask].tolist())
         b.record_ids = rec[~upper_mask].tolist()
-        b.cellbox = lower
-        self.directory.set_box(upper, new.id)
+        self._cell_hi[b.id, dim] = cut
+        self.directory.set_box(upper_lo, upper_hi, new.id)
         if self._listeners:
             self._emit("split", b.id, new.id)
         return new
@@ -455,15 +468,16 @@ class GridFile:
         buddy bucket) but only chosen when no plane separates the records.
         """
         rec = b.record_array()
-        box = b.cellbox
+        lo = self._cell_lo[b.id].tolist()
+        hi = self._cell_hi[b.id].tolist()
         best = None  # (min_side, -centrality_penalty, dim, cut)
         for k in range(self.dims):
-            if box.span[k] < 2:
+            if hi[k] - lo[k] < 2:
                 continue
             edges = self.scales.edges(k)
             coords = self.points[rec, k]
-            mid = (box.lo[k] + box.hi[k]) / 2.0
-            for cut in range(int(box.lo[k]) + 1, int(box.hi[k])):
+            mid = (lo[k] + hi[k]) / 2.0
+            for cut in range(lo[k] + 1, hi[k]):
                 left = int(np.count_nonzero(coords < edges[cut]))
                 right = len(rec) - left
                 key = (min(left, right), -abs(cut - mid), k, cut)
@@ -481,21 +495,24 @@ class GridFile:
         floating point).  Returns False when every dimension is degenerate.
         """
         rec = b.record_array()
-        cell = b.cellbox.lo
+        cell = self._cell_lo[b.id].tolist()
         for off in range(self.dims):
             k = (self._next_split_dim + off) % self.dims
             coords = self.points[rec, k]
             distinct = np.unique(coords)
             if distinct.size < 2:
                 continue
-            lo, hi = self.scales.interval(k, int(cell[k]))
+            lo, hi = self.scales.interval(k, cell[k])
             value = self._boundary_value(distinct, coords, lo, hi)
             if value is None:
                 continue
             interval = self.scales.insert_boundary(k, value)
             self.directory.refine(k, interval)
-            for bb in self.buckets:
-                bb.cellbox.shift_for_refinement(k, interval)
+            # Box bounds above the duplicated interval move up by one; a box
+            # covering it grows to cover both halves.
+            n = len(self.buckets)
+            for bounds in (self._cell_lo[:n, k], self._cell_hi[:n, k]):
+                bounds += bounds > interval
             self._next_split_dim = (k + 1) % self.dims
             if self._listeners:
                 self._emit("refine", k, interval)
@@ -665,9 +682,15 @@ class GridFile:
         return np.nonzero(self._bucket_sizes() > 0)[0]
 
     def bucket_cell_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell boxes of all buckets as two ``(n_buckets, d)`` int arrays."""
-        lo = np.stack([b.cellbox.lo for b in self.buckets])
-        hi = np.stack([b.cellbox.hi for b in self.buckets])
+        """Cell boxes ``[lo, hi)`` of all buckets as two ``(n_buckets, d)`` int arrays.
+
+        Read-only views of the grid file's own rows, valid until the next
+        structural mutation (copy them to keep a snapshot).
+        """
+        n = len(self.buckets)
+        lo, hi = self._cell_lo[:n], self._cell_hi[:n]
+        lo.flags.writeable = False
+        hi.flags.writeable = False
         return lo, hi
 
     def bucket_regions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -679,7 +702,8 @@ class GridFile:
         """Structural summary (bucket counts, merging, occupancy)."""
         sizes = self._bucket_sizes()
         nonempty = sizes > 0
-        merged = np.array([b.is_merged for b in self.buckets])
+        lo, hi = self.bucket_cell_boxes()
+        merged = np.prod(hi - lo, axis=1) > 1
         return GridFileStats(
             n_records=self.n_records,
             n_cells=self.scales.n_cells,
@@ -696,19 +720,25 @@ class GridFile:
     def check_invariants(self) -> None:
         """Verify structural invariants; raises ``AssertionError`` on breakage.
 
-        Checked: directory shape matches scales; every bucket's directory
-        region equals exactly its cell box; boxes tile the grid; every record
+        Checked: directory shape matches scales; every bucket's cell box is
+        the bounding box of its directory cells (``Directory.region_of``) and
+        holds only that bucket; boxes tile the grid; every record
         lies in the bucket owning its cell; occupancy respects capacity
         unless flagged overflowed; every filled coordinate cache equals
         ``points[record_ids]``.
         """
         assert self.directory.shape == self.scales.nintervals
         covered = np.zeros(self.directory.shape, dtype=bool)
-        for b in self.buckets:
-            region = self.directory.grid[b.cellbox.slices()]
-            assert (region == b.id).all(), f"bucket {b.id} region corrupted"
-            assert not covered[b.cellbox.slices()].any(), f"bucket {b.id} overlaps"
-            covered[b.cellbox.slices()] = True
+        cell_lo, cell_hi = self.bucket_cell_boxes()
+        for b, lo, hi in zip(self.buckets, cell_lo, cell_hi):
+            region_lo, region_hi = self.directory.region_of(b.id)
+            assert np.array_equal(lo, region_lo) and np.array_equal(hi, region_hi), (
+                f"bucket {b.id} cell box differs from its directory region"
+            )
+            box = tuple(map(slice, lo, hi))
+            assert (self.directory.grid[box] == b.id).all(), f"bucket {b.id} region corrupted"
+            assert not covered[box].any(), f"bucket {b.id} overlaps"
+            covered[box] = True
             assert b.n_records <= self.capacity or b.overflowed, (
                 f"bucket {b.id} over capacity without overflow flag"
             )
@@ -734,3 +764,22 @@ class GridFile:
 
     def __repr__(self) -> str:
         return f"GridFile({self.stats()})"
+
+
+def _directory_boxes(grid: np.ndarray, n_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell boxes ``[lo, hi)`` of bucket ids ``0 .. n_buckets - 1`` in ``grid``.
+
+    A box's first and last cells in row-major order are its ``lo`` and
+    ``hi - 1`` corners, so one pass over the flattened directory finds
+    every box.
+    """
+    flat = grid.ravel()
+    ids, first = np.unique(flat, return_index=True)
+    if ids.size != n_buckets or ids[0] != 0 or ids[-1] != n_buckets - 1:
+        raise ValueError(
+            f"directory must name every bucket id 0..{n_buckets - 1} and no other"
+        )
+    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+    lo = np.stack(np.unravel_index(first, grid.shape), axis=1).astype(np.int64)
+    hi = np.stack(np.unravel_index(last, grid.shape), axis=1).astype(np.int64) + 1
+    return lo, hi

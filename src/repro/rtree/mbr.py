@@ -10,8 +10,9 @@ __all__ = ["MBR"]
 class MBR:
     """A closed axis-aligned box ``[lo, hi]`` (degenerate boxes allowed).
 
-    Unlike :class:`repro.gridfile.CellBox` (integer, half-open, grid-aligned)
-    an MBR lives in continuous domain coordinates and may be a point.
+    Unlike a grid-file bucket's cell box (integer, half-open, grid-aligned;
+    see :meth:`repro.gridfile.GridFile.bucket_cell_boxes`) an MBR lives in
+    continuous domain coordinates and may be a point.
     """
 
     __slots__ = ("lo", "hi")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_positive_int
+from repro._util import check_positive_int, row_norms
 from repro.rtree.mbr import MBR
 
 __all__ = ["RTree", "RTreeNode", "knn_query"]
@@ -390,8 +390,6 @@ def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import heapq
 
-    from repro._util import check_positive_int
-
     check_positive_int(k, "k")
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (tree.dims,):
@@ -404,7 +402,7 @@ def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     def node_dist(node: RTreeNode) -> float:
         gap = np.maximum(np.maximum(node.mbr.lo - point, point - node.mbr.hi), 0.0)
-        return float(np.sqrt((gap**2).sum()))
+        return float(row_norms(gap))
 
     counter = 0  # heap tie-breaker
     heap: list = [(node_dist(tree.root), 0, counter, False, tree.root)]
@@ -417,7 +415,7 @@ def knn_query(tree: RTree, point, k: int) -> tuple[np.ndarray, np.ndarray]:
         node = payload
         if node.is_leaf:
             for r in node.entries:
-                d = float(np.sqrt(((tree.points[r] - point) ** 2).sum()))
+                d = float(row_norms(tree.points[r] - point))
                 counter += 1
                 heapq.heappush(heap, (d, int(r), counter, True, None))
         else:

@@ -7,8 +7,9 @@ unchanged) and mirrors its state onto engine pages:
 * each bucket serialises to a small binary blob — record ids plus their
   coordinates — chunked across one or more pages;
 * a JSON **catalog** blob holds everything else needed to rebuild the
-  grid file (scales, directory, cell boxes, deleted set, split cursor)
-  plus the page list of every bucket blob;
+  grid file (scales, directory, deleted set, split cursor) plus the page
+  list of every bucket blob, and each bucket's cell box, which
+  :meth:`DurableGridFile.open` checks against the directory;
 * the engine's root blob points at the catalog pages.
 
 The class subscribes to the grid file's structural listener events
@@ -36,7 +37,6 @@ import numpy as np
 from repro.gridfile.bucket import Bucket
 from repro.gridfile.directory import Directory
 from repro.gridfile.gridfile import GridFile
-from repro.gridfile.regions import CellBox
 from repro.gridfile.scales import Scales
 from repro.storage.engine import StorageEngine
 from repro.storage.page import HEADER_SIZE, StorageError
@@ -135,10 +135,7 @@ class DurableGridFile:
             rids, coords = _parse_bucket_blob(
                 b"".join(engine.read(p) for p in pages), bid, dims
             )
-            box = CellBox(
-                np.array(entry["lo"], dtype=np.int64), np.array(entry["hi"], dtype=np.int64)
-            )
-            bucket = Bucket(bid, box, rids.tolist())
+            bucket = Bucket(bid, rids.tolist())
             bucket.overflowed = bool(entry["overflowed"])
             buckets.append(bucket)
             bucket_pages[bid] = pages
@@ -147,6 +144,11 @@ class DurableGridFile:
         gf = GridFile(
             scales, directory_obj, buckets, points, cat["capacity"], cat["split_policy"]
         )
+        lo, hi = gf.bucket_cell_boxes()
+        entries = cat["buckets"]
+        if [e["lo"] for e in entries] != lo.tolist() or [e["hi"] for e in entries] != hi.tolist():
+            engine.close()
+            raise StorageError("catalog cell boxes disagree with the directory")
         gf._deleted = set(int(r) for r in cat["deleted"])
         gf._next_split_dim = int(cat["next_split_dim"])
         gf.merge_trigger = float(cat["merge_trigger"])
@@ -213,6 +215,7 @@ class DurableGridFile:
 
     def _catalog_blob(self) -> bytes:
         gf = self.gf
+        lo, hi = gf.bucket_cell_boxes()
         cat = {
             "capacity": gf.capacity,
             "split_policy": gf.split_policy,
@@ -228,12 +231,12 @@ class DurableGridFile:
             "directory": gf.directory.grid.ravel().tolist(),
             "buckets": [
                 {
-                    "lo": b.cellbox.lo.tolist(),
-                    "hi": b.cellbox.hi.tolist(),
+                    "lo": b_lo,
+                    "hi": b_hi,
                     "overflowed": b.overflowed,
                     "pages": self._bucket_pages.get(b.id, []),
                 }
-                for b in gf.buckets
+                for b, b_lo, b_hi in zip(gf.buckets, lo.tolist(), hi.tolist())
             ],
         }
         return json.dumps(cat, sort_keys=True, separators=(",", ":")).encode("ascii")

@@ -27,7 +27,8 @@ class TestStructure:
         gf = cartesian_product_file(pts, [0, 0], [1, 1], (5, 4))
         assert gf.n_buckets == 20
         assert gf.scales.n_cells == 20
-        assert all(b.cellbox.n_cells == 1 for b in gf.buckets)
+        lo, hi = gf.bucket_cell_boxes()
+        assert (hi - lo == 1).all()
         gf.check_invariants()
 
     def test_bucket_id_is_flat_cell_index(self):

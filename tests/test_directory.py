@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gridfile import CellBox, Directory
+from repro.gridfile import Directory
 
 
 class TestBasics:
@@ -31,7 +31,7 @@ class TestBasics:
 
     def test_set_box(self):
         d = Directory((3, 3))
-        d.set_box(CellBox([1, 1], [3, 3]), 9)
+        d.set_box([1, 1], [3, 3], 9)
         assert d.grid[1:, 1:].tolist() == [[9, 9], [9, 9]]
         assert d.grid[0, 0] == 0
 
@@ -73,9 +73,9 @@ class TestRefine:
 class TestRegionOf:
     def test_region_of(self):
         d = Directory.from_array(np.array([[5, 5, 1], [5, 5, 1]]))
-        box = d.region_of(5)
-        assert box.lo.tolist() == [0, 0]
-        assert box.hi.tolist() == [2, 2]
+        lo, hi = d.region_of(5)
+        assert lo.tolist() == [0, 0]
+        assert hi.tolist() == [2, 2]
 
     def test_region_of_missing(self):
         d = Directory((2, 2))

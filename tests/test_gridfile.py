@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridfile import GridFile
+from repro.gridfile import Bucket, Directory, GridFile, Scales
 from tests.conftest import brute_force_query
 
 
@@ -161,9 +161,9 @@ class TestStructure(object):
     def test_bucket_cell_boxes_match_directory(self, small_gridfile):
         lo, hi = small_gridfile.bucket_cell_boxes()
         for bid in range(small_gridfile.n_buckets):
-            region = small_gridfile.directory.region_of(bid)
-            assert region.lo.tolist() == lo[bid].tolist()
-            assert region.hi.tolist() == hi[bid].tolist()
+            region_lo, region_hi = small_gridfile.directory.region_of(bid)
+            assert region_lo.tolist() == lo[bid].tolist()
+            assert region_hi.tolist() == hi[bid].tolist()
 
     def test_every_record_in_its_cell_bucket(self, small_gridfile):
         gf = small_gridfile
@@ -178,6 +178,111 @@ class TestStructure(object):
         ne = small_gridfile.nonempty_bucket_ids()
         assert (sizes[ne] > 0).all()
         assert sizes.sum() == small_gridfile.n_records
+
+
+class _Refinements:
+    """Listener recording ``(dim, interval)`` of every scale refinement."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_refine(self, gf, dim, interval):
+        self.events.append((dim, interval))
+
+
+def _four_bucket_file():
+    """A 4x2 grid over [0, 4)^2 with hand-placed boxes and capacity 2.
+
+    Bucket 0 covers x-interval 0, buckets 1 and 2 the two single cells of
+    x-interval 1, and bucket 3 the merged x-intervals 2-3.
+    """
+    scales = Scales([0.0, 0.0], [4.0, 4.0], [np.array([1.0, 2.0, 3.0]), np.array([2.0])])
+    grid = np.array([[0, 0], [1, 2], [3, 3], [3, 3]])
+    buckets = [Bucket(bid) for bid in range(4)]
+    return GridFile(scales, Directory.from_array(grid), buckets, np.empty((0, 2)), capacity=2)
+
+
+def _boxes(gf):
+    lo, hi = gf.bucket_cell_boxes()
+    return [(lo[b].tolist(), hi[b].tolist()) for b in range(gf.n_buckets)]
+
+
+class TestCellBoxes:
+    """Cell boxes live in two arrays owned by the grid file."""
+
+    @pytest.fixture
+    def refined(self):
+        """The four-bucket file after bucket 1 overflows along x."""
+        gf = _four_bucket_file()
+        before = _boxes(gf)
+        log = _Refinements()
+        gf.add_listener(log)
+        for x in (1.2, 1.7, 1.8):
+            gf.insert_point([x, 0.5])
+        assert log.events == [(0, 1)]  # x-interval 1 was duplicated
+        gf.check_invariants()
+        return before, gf
+
+    def test_derived_from_directory(self):
+        assert _boxes(_four_bucket_file()) == [
+            ([0, 0], [1, 2]), ([1, 0], [2, 1]), ([1, 1], [2, 2]), ([2, 0], [4, 2]),
+        ]
+
+    def test_refinement_keeps_box_below_split(self, refined):
+        before, gf = refined
+        assert _boxes(gf)[0] == before[0] == ([0, 0], [1, 2])
+
+    def test_refinement_grows_box_covering_split(self, refined):
+        _, gf = refined
+        assert _boxes(gf)[2] == ([1, 1], [3, 2])
+
+    def test_refinement_shifts_box_above_split(self, refined):
+        _, gf = refined
+        assert _boxes(gf)[3] == ([3, 0], [5, 2])
+
+    def test_refinement_leaves_other_dims(self, refined):
+        before, gf = refined
+        lo, hi = gf.bucket_cell_boxes()
+        assert lo[:4, 1].tolist() == [b[0][1] for b in before]
+        assert hi[:4, 1].tolist() == [b[1][1] for b in before]
+
+    def test_split_geometry(self, refined):
+        _, gf = refined
+        # Bucket 1 grew to x-cells [1, 3) and split at the new plane: it
+        # keeps the lower half, the new bucket 4 takes the upper half.
+        assert gf.n_buckets == 5
+        assert _boxes(gf)[1] == ([1, 0], [2, 1])
+        assert _boxes(gf)[4] == ([2, 0], [3, 1])
+        assert sorted(gf.points[gf.records_in_bucket(1), 0].tolist()) == [1.2]
+        assert sorted(gf.points[gf.records_in_bucket(4), 0].tolist()) == [1.7, 1.8]
+
+    def test_split_halves_cover_parent_box(self, refined):
+        _, gf = refined
+        lo, hi = gf.bucket_cell_boxes()
+        cells = np.prod(hi - lo, axis=1)
+        assert cells[1] + cells[4] == 2  # the refined parent box [1, 3) x [0, 1)
+        assert cells.sum() == gf.scales.n_cells
+
+    def test_cell_box_views_are_read_only(self, small_gridfile):
+        lo, hi = small_gridfile.bucket_cell_boxes()
+        with pytest.raises(ValueError):
+            lo[0, 0] = 5
+        with pytest.raises(ValueError):
+            hi[0] += 1
+        small_gridfile.check_invariants()
+
+    def test_constructor_rejects_directory_missing_bucket(self):
+        scales = Scales([0.0], [1.0], [np.array([0.5])])
+        with pytest.raises(ValueError, match="every bucket id"):
+            GridFile(scales, Directory.from_array(np.array([0, 0])), [Bucket(0), Bucket(1)],
+                     np.empty((0, 1)), capacity=2)
+
+    def test_stats_counts_merged_buckets_from_spans(self):
+        gf = _four_bucket_file()
+        for pt in ([0.5, 0.5], [1.5, 0.5], [1.5, 2.5], [3.5, 3.5]):
+            gf.insert_point(pt)
+        # Buckets 0 (1x2 cells) and 3 (2x2 cells) are merged; 1 and 2 are single cells.
+        assert gf.stats().n_merged_buckets == 2
 
 
 class TestQueries:

@@ -88,9 +88,10 @@ class TestAssignOnGridFiles:
         m = 7
         a = method.assign(small_gridfile, m, rng=rng)
         grid = method.disk_grid(small_gridfile.directory.shape, m)
-        for b in small_gridfile.buckets:
-            alts = np.unique(grid[b.cellbox.slices()])
-            assert a[b.id] in alts
+        lo, hi = small_gridfile.bucket_cell_boxes()
+        for bid in range(small_gridfile.n_buckets):
+            alts = np.unique(grid[tuple(map(slice, lo[bid], hi[bid]))])
+            assert a[bid] in alts
 
     def test_cartesian_assign_matches_cell_function(self, cpf):
         """On a Cartesian product file there are no conflicts: the lifted

@@ -28,6 +28,11 @@ class TestMinDistance:
         assert min_distance_to_boxes(np.array([2.0, 0.5]), lo, hi)[0] == pytest.approx(1.0)
         assert min_distance_to_boxes(np.array([2.0, 2.0]), lo, hi)[0] == pytest.approx(np.sqrt(2))
 
+    def test_tiny_gap_does_not_underflow(self):
+        lo = np.array([[1e-200, 0.0]])
+        hi = np.array([[1.0, 1.0]])
+        assert min_distance_to_boxes(np.array([0.0, 0.5]), lo, hi)[0] == 1e-200
+
 
 class TestGridFileKnn:
     def test_matches_brute_force(self, rng):
@@ -69,6 +74,14 @@ class TestGridFileKnn:
         ids, d = knn_query(gf, [0.5, 0.5], 3)
         assert ids.size == 0
 
+    def test_underflowing_distance_still_orders(self):
+        # 3.41e-204 ** 2 underflows to 0: a squared-sum distance ties the two
+        # records and the lower id (0) would win.
+        gf = GridFile.from_points(np.array([[3.41e-204], [0.0]]), [0.0], [1.0], capacity=2)
+        ids, d = knn_query(gf, [0.0], 2)
+        assert ids.tolist() == [1, 0]
+        assert d.tolist() == [0.0, 3.41e-204]
+
     def test_validation(self, small_gridfile):
         with pytest.raises(ValueError):
             knn_query(small_gridfile, [1.0], 3)
@@ -96,6 +109,14 @@ class TestRTreeKnn:
         q = np.array([5.0, 5.0])
         ids, _ = rtree_knn_query(t, q, 5)
         assert np.array_equal(ids, brute_knn(pts, q, 5)[0])
+
+    def test_underflowing_distance_still_orders(self):
+        t = RTree(1, max_entries=4)
+        for x in (3.41e-204, 0.0):
+            t.insert_point([x])
+        ids, d = rtree_knn_query(t, [0.0], 2)
+        assert ids.tolist() == [1, 0]
+        assert d.tolist() == [0.0, 3.41e-204]
 
     def test_empty_tree(self):
         t = RTree(2)

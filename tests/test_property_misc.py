@@ -80,9 +80,9 @@ def test_directory_refinement_preserves_regions(data):
         interval = int(rng.integers(0, d.shape[dim]))
         d.refine(dim, interval)
     for bid in ids:
-        box = d.region_of(int(bid))
+        lo, hi = d.region_of(int(bid))
         # The bounding box contains only this bucket: still a box region.
-        assert (d.grid[box.slices()] == bid).all()
+        assert (d.grid[tuple(map(slice, lo, hi))] == bid).all()
     assert d.n_cells == np.prod(d.shape)
 
 

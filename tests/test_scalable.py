@@ -285,11 +285,6 @@ class TestBulkAssign:
         b = ScalableMinimax().assign(small_gridfile, 8, rng=0)
         assert np.array_equal(a, b)
 
-    def test_small_blocks_identical(self, small_gridfile):
-        a = bulk_assign(small_gridfile, 8, rng=0, block=7)
-        b = bulk_assign(small_gridfile, 8, rng=0, block=65536)
-        assert np.array_equal(a, b)
-
     def test_registry_spec(self, small_gridfile):
         m = make_method("sminimax")
         assert m.name == "SMiniMax"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sql import NaiveDatabase, SqlEngine, SqlError, parse_script, parse_statement, unparse
@@ -211,6 +211,18 @@ def _script(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(_script())
+# The squared distance of 3.41e-204 underflows to 0; the engines must still
+# rank the exact match (id 1) first, as the oracle's math.dist does.
+@example(
+    "CREATE TABLE t (x REAL(0.0, 1.0)) USING GRIDFILE CAPACITY 2;\n"
+    "INSERT INTO t VALUES (3.41e-204), (0.0);\n"
+    "SELECT * FROM t NEAREST 1 TO (0.0);"
+)
+@example(
+    "CREATE TABLE t (x REAL(0.0, 1.0)) USING RTREE CAPACITY 2;\n"
+    "INSERT INTO t VALUES (3.41e-204), (0.0);\n"
+    "SELECT * FROM t NEAREST 1 TO (0.0);"
+)
 def test_fuzzed_scripts_match_oracle(script):
     eng = SqlEngine(n_disks=4)
     db = NaiveDatabase()

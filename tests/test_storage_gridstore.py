@@ -8,6 +8,8 @@ the same operation to both must produce byte-identical catalogs.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,11 +43,11 @@ def _assert_same_gridfile(a: GridFile, b: GridFile):
     np.testing.assert_array_equal(a.directory.grid, b.directory.grid)
     for sa, sb in zip(a.scales.boundaries, b.scales.boundaries):
         np.testing.assert_array_equal(sa, sb)
+    for box_a, box_b in zip(a.bucket_cell_boxes(), b.bucket_cell_boxes()):
+        np.testing.assert_array_equal(box_a, box_b)
     for ba, bb in zip(a.buckets, b.buckets):
         assert ba.id == bb.id
         assert ba.overflowed == bb.overflowed
-        np.testing.assert_array_equal(ba.cellbox.lo, bb.cellbox.lo)
-        np.testing.assert_array_equal(ba.cellbox.hi, bb.cellbox.hi)
         assert sorted(ba.record_ids) == sorted(bb.record_ids)
     live = a.live_record_ids()
     np.testing.assert_array_equal(np.sort(live), np.sort(b.live_record_ids()))
@@ -161,6 +163,19 @@ def test_open_rejects_rootless_store(tmp_path):
 
     StorageEngine.create(tmp_path / "store", page_size=512).close()
     with pytest.raises(StorageError):
+        DurableGridFile.open(tmp_path / "store", page_size=512)
+
+
+def test_open_rejects_catalog_boxes_that_disagree_with_directory(tmp_path):
+    """Cell boxes are derived from the directory; the catalog copy must agree."""
+    d = _populated(tmp_path, n_ops=40)
+    cat = json.loads(d._catalog_blob())
+    cat["buckets"][0]["hi"][0] += 1
+    d._catalog_blob = lambda: json.dumps(cat, sort_keys=True).encode("ascii")
+    d._pending = True
+    d.commit_op()
+    d.close()
+    with pytest.raises(StorageError, match="cell boxes"):
         DurableGridFile.open(tmp_path / "store", page_size=512)
 
 

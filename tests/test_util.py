@@ -1,4 +1,6 @@
-"""Tests for repro._util (rng plumbing, validation, table rendering)."""
+"""Tests for repro._util (rng plumbing, validation, norms, table rendering)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro._util import (
     check_probability,
     format_series,
     format_table,
+    row_norms,
     spawn_rng,
 )
 
@@ -73,6 +76,22 @@ class TestValidate:
             check_probability(1.5, "p")
         with pytest.raises(ValueError):
             check_probability(-0.1, "p")
+
+
+class TestRowNorms:
+    def test_no_underflow_or_overflow(self):
+        rows = np.array([[3.41e-204, 0.0], [3e200, 4e200], [0.0, 0.0], [-3.0, 4.0]])
+        got = row_norms(rows)
+        want = [math.dist(r, (0.0, 0.0)) for r in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        assert got[0] > 0.0
+
+    def test_bit_identical_to_squared_sum_in_range(self, rng):
+        rows = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-100, 100, size=(2000, 1))
+        assert np.array_equal(row_norms(rows), np.sqrt((rows**2).sum(axis=1)))
+
+    def test_single_row(self):
+        assert float(row_norms(np.array([3.0, 4.0]))) == 5.0
 
 
 class TestTables:
