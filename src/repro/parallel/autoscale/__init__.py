@@ -11,8 +11,10 @@ This package closes the loop the ROADMAP's north star needs:
   hysteresis), elastic membership (join via ``minimax_expand``-style
   bounded movement, drain via replica promotion — the failover path
   reused), all exercisable without a simulator;
-* :class:`~repro.parallel.autoscale.policy.AutoscalePolicy` — the pipeline
-  seam (``ClusterParams.autoscale``; off by default and byte-neutral);
+* :class:`~repro.parallel.autoscale.policy.StaticReplicate` and
+  :class:`~repro.parallel.autoscale.policy.HeatReplicate` — replica
+  selectors the pipeline installs for ``ClusterParams.autoscale`` (off by
+  default; ``null`` installs nothing and is byte-neutral);
 * :class:`~repro.parallel.autoscale.driver.AutoscaleCluster` — the elastic
   run driver executing a :class:`~repro.parallel.autoscale.driver.ScalePlan`
   on the simulated clock.
@@ -30,9 +32,7 @@ from repro.parallel.autoscale.driver import (
 from repro.parallel.autoscale.params import AutoscaleParams
 from repro.parallel.autoscale.policy import (
     AUTOSCALE_POLICIES,
-    AutoscalePolicy,
     HeatReplicate,
-    NullAutoscale,
     StaticReplicate,
     make_autoscale_policy,
 )
@@ -42,8 +42,6 @@ __all__ = [
     "AutoscaleController",
     "HeatTracker",
     "AutoscaleParams",
-    "AutoscalePolicy",
-    "NullAutoscale",
     "StaticReplicate",
     "HeatReplicate",
     "AUTOSCALE_POLICIES",

@@ -22,12 +22,11 @@ import numpy as np
 
 from repro._util import as_rng
 from repro.core.redistribute import minimax_expand
-from repro.obs import PROFILER
 from repro.parallel.autoscale.params import AutoscaleParams
 from repro.parallel.autoscale.policy import make_autoscale_policy
 from repro.parallel.engine.params import ClusterParams
 from repro.parallel.engine.pipeline import RequestPipeline
-from repro.parallel.engine.runners import ParallelGridFile
+from repro.parallel.engine.runners import ParallelGridFile, run_closed
 from repro.parallel.engine.stats import PerfReport
 
 __all__ = ["ScaleEvent", "ScalePlan", "AutoscaleReport", "AutoscaleCluster"]
@@ -100,16 +99,17 @@ class AutoscaleReport:
     n_disks_start: int
     n_disks_end: int
     pool_disks: int
-    replicas_created: int
-    replicas_evicted: int
-    promotions: int
+    # The control ledger; all zero under the ``null`` policy.
+    replicas_created: int = 0
+    replicas_evicted: int = 0
+    promotions: int = 0
     #: Primaries shipped by membership rebalancing.
-    moves: int
-    control_steps: int
-    joins: int
-    leaves: int
-    final_replicas: int
-    peak_replicas: int
+    moves: int = 0
+    control_steps: int = 0
+    joins: int = 0
+    leaves: int = 0
+    final_replicas: int = 0
+    peak_replicas: int = 0
 
     @property
     def blocks_copied(self) -> int:
@@ -156,8 +156,9 @@ class AutoscaleCluster:
             params = replace(params, autoscale=AutoscaleParams())
         self.params = params
         self.plan = plan or ScalePlan()
-        self.policy_name = make_autoscale_policy(params.autoscale).name
-        if self.plan.events and self.policy_name == "null":
+        #: False for the ``null`` policy: the run is the plain closed loop.
+        self.replicating = make_autoscale_policy(params.autoscale) is not None
+        if self.plan.events and not self.replicating:
             raise ValueError(
                 "membership/budget events require a replicating autoscale "
                 "policy; the null policy has no controller"
@@ -209,54 +210,16 @@ class AutoscaleCluster:
     def run(self, queries, tracer=None) -> AutoscaleReport:
         """Closed-system run under the scale plan; returns the full ledger."""
         pipe = RequestPipeline(self.pgf, queries, tracer=tracer)
-        policy = pipe.autoscale
-        if policy.routes:
+        policy = pipe.selector if self.replicating else None
+        if policy is not None:
             policy.configure(self.n_disks_start, expand_fn=self._expand_fn())
             for ev in self.plan.sorted_events():
                 pipe.sim.schedule_at(ev.time, policy.apply_event, ev)
-        n = len(pipe.queries)
-        state = {"next": 0}
-
-        def submit_next(_qid=None):
-            if state["next"] < n:
-                qid = state["next"]
-                state["next"] += 1
-                pipe.submit(qid)
-
-        pipe.on_complete = submit_next
-        for _ in range(max(1, self.params.pipeline_depth)):
-            submit_next()
-        with PROFILER.phase("cluster.run"):
-            pipe.sim.run()
-        perf = pipe.report()
-        if not policy.routes:
-            return AutoscaleReport(
-                perf=perf,
-                n_disks_start=self.n_disks_start,
-                n_disks_end=self.n_disks_end,
-                pool_disks=self.pool_disks,
-                replicas_created=0,
-                replicas_evicted=0,
-                promotions=0,
-                moves=0,
-                control_steps=0,
-                joins=0,
-                leaves=0,
-                final_replicas=0,
-                peak_replicas=0,
-            )
+        perf = run_closed(pipe)
         return AutoscaleReport(
             perf=perf,
             n_disks_start=self.n_disks_start,
             n_disks_end=self.n_disks_end,
             pool_disks=self.pool_disks,
-            replicas_created=policy.replicas_created,
-            replicas_evicted=policy.replicas_evicted,
-            promotions=policy.promotions,
-            moves=policy.moves,
-            control_steps=policy.control_steps,
-            joins=policy.joins,
-            leaves=policy.leaves,
-            final_replicas=policy.ctl.n_replicas,
-            peak_replicas=policy.peak_replicas,
+            **(policy.ledger() if policy is not None else {}),
         )

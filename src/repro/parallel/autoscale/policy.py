@@ -1,20 +1,21 @@
-"""The ``AutoscalePolicy`` seam: controller decisions on pipeline resources.
+"""The replicating autoscale policies: replica selectors with a controller.
 
-:class:`AutoscalePolicy` is the pluggable hook the request pipeline calls
-at three points — route, failover, query completion.  The default
-configuration (``ClusterParams.autoscale = None``) installs nothing, and
-the ``null`` policy installs a pure pass-through: both are byte-for-byte
-identical to a pre-autoscale run (``tests/test_autoscale_neutrality.py``
-pins this against the PR 5 goldens).
+``ClusterParams.autoscale`` names a policy.  ``static`` and
+``heat-replicate`` are :class:`~repro.parallel.engine.replicas.ReplicaSelector`
+subclasses: the request pipeline installs the policy as its one selector
+in place of ``replica_policy``.  ``null`` resolves to no policy at all, so
+the pipeline keeps its plain selector and the run is byte-for-byte
+identical to one without ``autoscale`` (``tests/test_autoscale_neutrality.py``
+pins this against the engine goldens).
 
-The replicating policies own routing outright (``routes = True``): every
-bucket read goes to whichever copy — primary or autoscaler-created replica
-— has been handed the fewest blocks this run, and failover regroups around
-suspected nodes using the surviving copies.  Every block a controller
-action physically copies is charged to the simulated resources it would
-occupy (source disk read, NIC transfer, destination disk write), so the
-latency benefit of replication and the cost of making the copies meet in
-the same simulated clock.
+A replicating policy sends every bucket read to one of the bucket's live
+copies — primary or autoscaler-created replica — in per-bucket round-robin
+order, and fails over around suspected nodes using the surviving copies.
+Every block a controller action physically copies is charged to the
+simulated resources it would occupy (source disk read, NIC transfer,
+destination disk write; :meth:`~repro.parallel.engine.pipeline.RequestPipeline.ship_block`),
+so the latency benefit of replication and the cost of making the copies
+meet in the same simulated clock.
 
 Observability: ``autoscale.*`` counters/gauges land in the run's
 :class:`~repro.obs.MetricsRegistry` and the controller work is profiled
@@ -29,11 +30,9 @@ import numpy as np
 from repro.obs import PROFILER
 from repro.parallel.autoscale.controller import AutoscaleController
 from repro.parallel.autoscale.params import AutoscaleParams
-from repro.parallel.engine.replicas import regroup_requests
+from repro.parallel.engine.replicas import ReplicaSelector
 
 __all__ = [
-    "AutoscalePolicy",
-    "NullAutoscale",
     "StaticReplicate",
     "HeatReplicate",
     "AUTOSCALE_POLICIES",
@@ -41,56 +40,7 @@ __all__ = [
 ]
 
 
-class AutoscalePolicy:
-    """Base seam: the null behaviour every hook defaults to."""
-
-    name = "base"
-    #: Whether the policy owns routing (replica-aware read placement and
-    #: failover).  False delegates both to the replica-selection seam.
-    routes = False
-    #: Whether the policy runs the closed control loop on query completions.
-    adaptive = False
-
-    def bind(self, pipeline) -> None:
-        """Attach to one pipeline run (called once, before any routing)."""
-        self.pipe = pipeline
-
-    def route(self, plan, requests):
-        """Map a plan's primary-grouped requests to the ones actually sent."""
-        return self.pipe.selector.route(plan, requests)
-
-    def failover(self, plan, req):
-        """Re-route one timed-out request after its node was suspected."""
-        return self.pipe.selector.failover(plan, req)
-
-    def query_complete(self, qid: int) -> None:
-        """A query finished — the adaptive policies observe and may act."""
-
-    # -- online-engine coherence hooks (no-ops unless replicating) -----------
-
-    def bucket_added(self, disk: int) -> None:
-        """A grid-file split created a bucket on ``disk``."""
-
-    def bucket_dirty(self, bucket_id: int) -> None:
-        """A write changed the bucket — replicas must be invalidated."""
-
-    def bucket_removed(self, bucket_id: int, moved_id: "int | None") -> None:
-        """Swap-removal renumbering (mirror of the driver's bookkeeping)."""
-
-    def primary_moved(self, bucket_id: int, disk: int) -> None:
-        """The online driver shipped the primary copy to ``disk``."""
-
-
-class NullAutoscale(AutoscalePolicy):
-    """Measurement-only: no replicas, no instruments, no behaviour change."""
-
-    name = "null"
-
-    def __init__(self, params: "AutoscaleParams | None" = None):
-        self.p = params or AutoscaleParams(policy="null")
-
-
-class _ReplicatedAutoscale(AutoscalePolicy):
+class _ReplicatedAutoscale(ReplicaSelector):
     """Shared machinery of the replicating policies.
 
     Owns an :class:`AutoscaleController`, routes reads across its copies,
@@ -98,7 +48,8 @@ class _ReplicatedAutoscale(AutoscalePolicy):
     replica counters the report and bench gates read.
     """
 
-    routes = True
+    #: Whether the policy runs the closed control loop on query completions.
+    adaptive = False
 
     def __init__(self, params: AutoscaleParams):
         self.p = params
@@ -158,23 +109,6 @@ class _ReplicatedAutoscale(AutoscalePolicy):
         self._rr[b] = i + 1
         return cands[i % len(cands)]
 
-    def route(self, plan, requests):
-        pipe = self.pipe
-        failed = pipe.suspected_disks()
-        bids = [int(b) for req in requests for b in req.bucket_ids]
-        return regroup_requests(
-            pipe.coordinator, plan, bids, lambda b: self._choose(b, failed)
-        )
-
-    def failover(self, plan, req):
-        failed = self.pipe.suspected_disks()
-        return regroup_requests(
-            self.pipe.coordinator,
-            plan,
-            req.bucket_ids,
-            lambda b: self._choose(b, failed),
-        )
-
     # -- control loop ---------------------------------------------------------
 
     def query_complete(self, qid: int) -> None:
@@ -213,11 +147,11 @@ class _ReplicatedAutoscale(AutoscalePolicy):
 
     # -- action application ----------------------------------------------------
 
-    def _apply(self, actions, charge: bool = True) -> None:
+    def _apply(self, actions) -> None:
         metrics = self.pipe.metrics
         for a in actions:
-            if a.copies_block and charge:
-                self._charge_copy(a.src, a.dst)
+            if a.copies_block:
+                self.pipe.ship_block(a.dst, self.pipe.sim.now, src=a.src)
             if a.kind == "replicate":
                 self.replicas_created += 1
                 metrics.counter("autoscale.replicas.created").inc()
@@ -233,24 +167,6 @@ class _ReplicatedAutoscale(AutoscalePolicy):
         self.peak_replicas = max(self.peak_replicas, self.ctl.n_replicas)
         metrics.gauge("autoscale.replica_count").set(self.ctl.n_replicas)
 
-    def _charge_copy(self, src: int, dst: int) -> None:
-        """Reserve the simulated cost of shipping one block ``src -> dst``:
-        source disk read, cross-node NIC transfer, destination disk write."""
-        pipe = self.pipe
-        dpn = pipe.params.disks_per_node
-        snode = pipe.nodes[src // dpn]
-        service = snode.disk_model.service_time(1, snode.disk_slowdown[src % dpn])
-        _, read_end = snode.disks[src % dpn].reserve(pipe.sim.now, service)
-        arrive = read_end
-        if src // dpn != dst // dpn:
-            t = pipe.net.transfer_time(pipe.params.disk.block_bytes)
-            _, send_end = snode.nic.reserve(read_end, t)
-            pipe.stats.comm_time += t + pipe.net.latency
-            arrive = send_end + pipe.net.latency
-        dnode = pipe.nodes[dst // dpn]
-        service = dnode.disk_model.service_time(1, dnode.disk_slowdown[dst % dpn])
-        dnode.disks[dst % dpn].reserve(arrive, service)
-
     def _sync_assignment(self) -> None:
         """Publish the controller's primary map to the coordinator (primaries
         only change on membership events; online primary moves flow the
@@ -258,6 +174,21 @@ class _ReplicatedAutoscale(AutoscalePolicy):
         self.pipe.coordinator.assignment = np.asarray(
             self.ctl.assignment, dtype=np.int64
         )
+
+    def ledger(self) -> dict:
+        """The run's control ledger, by
+        :class:`~repro.parallel.autoscale.driver.AutoscaleReport` field."""
+        return {
+            "replicas_created": self.replicas_created,
+            "replicas_evicted": self.replicas_evicted,
+            "promotions": self.promotions,
+            "moves": self.moves,
+            "control_steps": self.control_steps,
+            "joins": self.joins,
+            "leaves": self.leaves,
+            "final_replicas": self.ctl.n_replicas,
+            "peak_replicas": self.peak_replicas,
+        }
 
     # -- online-engine coherence ----------------------------------------------
 
@@ -303,17 +234,18 @@ class HeatReplicate(_ReplicatedAutoscale):
     adaptive = True
 
 
-#: Registered autoscale policies, by name.
+#: Registered autoscale policies, by name; ``"null"`` installs no policy.
 AUTOSCALE_POLICIES = {
-    NullAutoscale.name: NullAutoscale,
+    "null": None,
     StaticReplicate.name: StaticReplicate,
     HeatReplicate.name: HeatReplicate,
 }
 
 
-def make_autoscale_policy(spec) -> AutoscalePolicy:
-    """Resolve a policy name or :class:`AutoscaleParams` to a fresh instance.
+def make_autoscale_policy(spec) -> "ReplicaSelector | None":
+    """Resolve a policy name or :class:`AutoscaleParams` to a fresh selector.
 
+    The ``null`` policy resolves to ``None``: no selector of its own.
     Raises ``ValueError`` listing the registered names for unknown ones.
     """
     if isinstance(spec, str):
@@ -332,4 +264,4 @@ def make_autoscale_policy(spec) -> AutoscalePolicy:
             f"unknown autoscale policy {params.policy!r}; "
             f"choose from {sorted(AUTOSCALE_POLICIES)}"
         ) from None
-    return cls(params)
+    return None if cls is None else cls(params)

@@ -9,7 +9,8 @@ three pluggable seams:
 * **disk scheduling** (:mod:`~repro.parallel.engine.scheduling`):
   ``fifo`` / ``sjf`` / ``fair`` per-disk queue disciplines;
 * **replica selection** (:mod:`~repro.parallel.engine.replicas`):
-  ``primary-only`` / ``least-loaded-alive`` / ``fastest-estimated``;
+  ``primary-only`` / ``least-loaded-alive`` / ``fastest-estimated``, or a
+  replicating autoscale policy in their place;
 * **admission control** (:mod:`~repro.parallel.engine.admission`):
   unbounded (legacy), ``max_inflight`` bounding and ``deadline`` shedding
   for open-system runs.

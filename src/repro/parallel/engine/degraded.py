@@ -147,7 +147,7 @@ class DegradedMode:
         qid = state.qid
         if qid in self.aborted:
             return
-        new_reqs = pipe.route_failover(pipe.plans[qid], state.req)
+        new_reqs = pipe.selector.failover(pipe.plans[qid], state.req)
         if new_reqs is None:
             self.abort(qid)
             return

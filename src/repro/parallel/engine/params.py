@@ -8,7 +8,8 @@ pipeline seams introduced by the request-pipeline refactor:
 * ``scheduler`` — the per-disk queue discipline
   (:mod:`repro.parallel.engine.scheduling`);
 * ``replica_policy`` — how the router picks among replica copies
-  (:mod:`repro.parallel.engine.replicas`);
+  (:mod:`repro.parallel.engine.replicas`); a replicating ``autoscale``
+  policy takes its place;
 * ``max_inflight`` / ``deadline`` — the open-system admission controller
   (:mod:`repro.parallel.engine.admission`).
 
@@ -96,9 +97,10 @@ class ClusterParams:
     #: Popularity-driven autoscaling: None (default — no heat tracking, no
     #: replicas, byte-identical to the pre-autoscale engine), a policy name
     #: ("null", "static", "heat-replicate") or a full
-    #: :class:`repro.parallel.autoscale.AutoscaleParams`.  The replicating
-    #: policies own read routing and replica placement themselves, so they
-    #: are mutually exclusive with ``replication``/``replica_policy``.  See
+    #: :class:`repro.parallel.autoscale.AutoscaleParams`.  A replicating
+    #: policy is installed as the run's replica selector and places its own
+    #: replicas, so it is mutually exclusive with
+    #: ``replication``/``replica_policy``; "null" installs nothing.  See
     #: `repro.parallel.autoscale` and ``docs/autoscale.md``.
     autoscale: "object | None" = None
 
@@ -130,7 +132,7 @@ def validate_params(params: ClusterParams) -> None:
         # Resolves the policy name (ValueError lists the registry) and, via
         # AutoscaleParams.__post_init__, validates the numeric knobs.
         policy = make_autoscale_policy(params.autoscale)
-        if policy.routes:
+        if policy is not None:
             if params.replication is not None:
                 raise ValueError(
                     f"autoscale policy {policy.name!r} manages replicas itself "

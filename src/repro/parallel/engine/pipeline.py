@@ -6,8 +6,9 @@ stages.  A query flows:
 1. **admission** (open runs only — :mod:`repro.parallel.engine.admission`)
    decides when the query enters;
 2. **plan/route**: the coordinator plans the query (CPU reservation) and
-   the replica-selection policy (:mod:`repro.parallel.engine.replicas`)
-   maps each planned bucket to the disk that will serve it;
+   the run's one replica selector (:mod:`repro.parallel.engine.replicas`;
+   a replicating autoscale policy is one too) maps each planned bucket to
+   the disk that will serve it;
 3. **request send**: one message per involved node over the coordinator
    NIC, with an optional timeout armed per request;
 4. the **worker stage** (:mod:`repro.parallel.engine.worker`) probes the
@@ -106,17 +107,19 @@ class RequestPipeline:
             [queue_cls(self.sim, d) for d in node.disks] for node in self.nodes
         ]
         self.worker = WorkerStage(self)
-        self.selector = make_replica_policy(self.params.replica_policy)
-        self.selector.bind(self)
-        self.admission = None  # installed by the open runner
-        #: Autoscale policy seam (None unless ``params.autoscale`` is set;
-        #: the import is deferred to keep the package acyclic).
-        self.autoscale = None
+        #: The one read router: a replicating autoscale policy when
+        #: ``params.autoscale`` names one (the import is deferred to keep
+        #: the package acyclic), else the ``replica_policy`` selector.
+        selector = None
         if self.params.autoscale is not None:
             from repro.parallel.autoscale.policy import make_autoscale_policy
 
-            self.autoscale = make_autoscale_policy(self.params.autoscale)
-            self.autoscale.bind(self)
+            selector = make_autoscale_policy(self.params.autoscale)
+        if selector is None:
+            selector = make_replica_policy(self.params.replica_policy)
+        self.selector = selector
+        self.selector.bind(self)
+        self.admission = None  # installed by the open runner
 
         # -- degraded mode (timeout/retry/suspect/failover/abort) ------------
         self.degraded = DegradedMode(self)
@@ -177,10 +180,7 @@ class RequestPipeline:
         if not plan.requests:
             self.sim.schedule_at(lookup_end, self._complete, qid)
             return
-        if self.autoscale is not None and self.autoscale.routes:
-            requests = self.autoscale.route(plan, plan.requests)
-        else:
-            requests = self.selector.route(plan, plan.requests)
+        requests = self.selector.route(plan, plan.requests)
         if requests is None:
             self.sim.schedule_at(lookup_end, self.degraded.abort, qid)
             return
@@ -239,6 +239,38 @@ class RequestPipeline:
             int(b): int(d) % dpn for b, d in zip(req.bucket_ids, req.target_disks)
         }
         return local.__getitem__
+
+    def ship_block(
+        self,
+        dst: int,
+        earliest: float,
+        src: "int | None" = None,
+        src_node: "int | None" = None,
+    ) -> float:
+        """Reserve the simulated cost of moving one block onto global disk
+        ``dst``, starting no earlier than ``earliest``; the end of the write.
+
+        In order: a read on source disk ``src`` when one is given, a NIC
+        transfer from the source node (``src``'s node, else ``src_node``)
+        when it is not ``dst``'s node, and the write on ``dst``.  With no
+        source it is one block of service on ``dst`` alone.  This is the one
+        block-copy charge of bucket moves, split placement, autoscale copies
+        and the online write's read-modify-write.
+        """
+        dpn = self.params.disks_per_node
+        if src is not None:
+            earliest = self.ship_block(src, earliest)  # the source-disk read
+            src_node = src // dpn
+        if src_node is not None and src_node != dst // dpn:
+            t = self.net.transfer_time(self.params.disk.block_bytes)
+            _, send_end = self.nodes[src_node].nic.reserve(earliest, t)
+            self.stats.comm_time += t + self.net.latency
+            earliest = send_end + self.net.latency
+        node = self.nodes[dst // dpn]
+        local = dst % dpn
+        service = node.disk_model.service_time(1, node.disk_slowdown[local])
+        _, end = node.disks[local].reserve(earliest, service)
+        return end
 
     def disk_queue_of(self, disk: int):
         """The :class:`~repro.parallel.engine.scheduling.DiskQueue` in front
@@ -308,8 +340,7 @@ class RequestPipeline:
             span = self._qspan.pop(qid, None)
             if span is not None:
                 self.tracer.span_close(span, self.sim.now, aborted=qid in self.aborted)
-        if self.autoscale is not None:
-            self.autoscale.query_complete(qid)
+        self.selector.query_complete(qid)
         if self.admission is not None:
             self.admission.query_done(qid)
         if self.on_complete is not None:
@@ -334,12 +365,6 @@ class RequestPipeline:
     def suspected_disks(self) -> set:
         """Global disk ids owned by currently suspected nodes."""
         return self.degraded.suspected_disks()
-
-    def route_failover(self, plan, req):
-        """Re-route one timed-out request's buckets (autoscale-aware)."""
-        if self.autoscale is not None and self.autoscale.routes:
-            return self.autoscale.failover(plan, req)
-        return self.selector.failover(plan, req)
 
     # -- reporting -----------------------------------------------------------
 

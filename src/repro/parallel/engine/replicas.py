@@ -21,6 +21,11 @@ The policies here make that seam explicit — the metrics framing follows
     free up first (current reservation horizon plus queued service) —
     instantaneous load-balancing keyed to the scheduling state.
 
+The replicating autoscale policies (``static``, ``heat-replicate``; see
+:mod:`repro.parallel.autoscale.policy`) are selectors too: when
+``ClusterParams.autoscale`` names one, the pipeline installs it in place
+of ``replica_policy``, so every run has exactly one selector.
+
 Use :func:`make_replica_policy` to resolve a name (raises ``ValueError``
 with the available names for unknown ones).
 """
@@ -39,66 +44,93 @@ __all__ = [
     "FastestEstimatedSelector",
     "REPLICA_POLICIES",
     "make_replica_policy",
-    "regroup_requests",
 ]
 
 
-def regroup_requests(coordinator, plan, bucket_ids, choose) -> "list | None":
-    """Group per-bucket disk choices into per-node block requests.
-
-    ``choose(bucket) -> global disk | None``; ``None`` means no live copy
-    can serve the bucket and the whole routing fails (the caller aborts).
-    The one regrouping path of every replica route: primary-only failover,
-    the balancing replica selectors and the autoscale router.  Requests
-    carry ``target_disks`` (so workers read the chosen copies) and a fresh
-    retry budget (``attempt=0``).
-    """
-    by_node: dict[int, list] = {}
-    for b in bucket_ids:
-        b = int(b)
-        disk = choose(b)
-        if disk is None:
-            return None
-        by_node.setdefault(coordinator.node_of_disk(disk), []).append((b, disk))
-    qid = plan.query_id
-    out = []
-    for node in sorted(by_node):
-        pairs = by_node[node]
-        out.append(
-            BlockRequest(
-                query_id=qid,
-                node_id=node,
-                bucket_ids=np.array([b for b, _ in pairs], dtype=np.int64),
-                candidates=sum(plan.candidates_per_bucket[b] for b, _ in pairs),
-                qualified=sum(plan.qualified_per_bucket[b] for b, _ in pairs),
-                attempt=0,
-                target_disks=np.array([d for _, d in pairs], dtype=np.int64),
-            )
-        )
-    return out
-
-
 class ReplicaSelector:
-    """Chooses the disk serving each bucket read (one instance per run)."""
+    """Chooses the disk serving each bucket read (one instance per run).
+
+    A selector picks one disk per bucket in :meth:`_choose`; the default
+    :meth:`route` and :meth:`failover` regroup those picks into per-node
+    requests.  The autoscale policies
+    (:mod:`repro.parallel.autoscale.policy`) are selectors too: they also
+    observe query completions and the online driver's structure changes
+    through the no-op hooks below.
+    """
 
     name = "base"
-    #: Whether the policy reads from replica copies on healthy paths
-    #: (and therefore requires ``ClusterParams.replication``).
-    needs_replication = False
 
     def bind(self, pipeline) -> None:
         """Attach to a pipeline run (called once, before any routing)."""
         self.pipe = pipeline
 
+    def _choose(self, bucket: int, failed: set) -> "int | None":
+        """The global disk serving ``bucket`` while the disks in ``failed``
+        are suspected; ``None`` when no live copy remains."""
+        raise NotImplementedError
+
+    def _regroup(self, plan, bucket_ids) -> "list | None":
+        """Choose a disk per bucket and group the choices into per-node
+        block requests; ``None`` when some bucket has no live copy.
+
+        The one regrouping path of every route and failover.  Requests
+        carry ``target_disks`` (so workers read the chosen copies) and a
+        fresh retry budget (``attempt=0``).
+        """
+        coordinator = self.pipe.coordinator
+        failed = self.pipe.suspected_disks()
+        by_node: dict[int, list] = {}
+        for b in bucket_ids:
+            b = int(b)
+            disk = self._choose(b, failed)
+            if disk is None:
+                return None
+            by_node.setdefault(coordinator.node_of_disk(disk), []).append((b, disk))
+        qid = plan.query_id
+        out = []
+        for node in sorted(by_node):
+            pairs = by_node[node]
+            out.append(
+                BlockRequest(
+                    query_id=qid,
+                    node_id=node,
+                    bucket_ids=np.array([b for b, _ in pairs], dtype=np.int64),
+                    candidates=sum(plan.candidates_per_bucket[b] for b, _ in pairs),
+                    qualified=sum(plan.qualified_per_bucket[b] for b, _ in pairs),
+                    attempt=0,
+                    target_disks=np.array([d for _, d in pairs], dtype=np.int64),
+                )
+            )
+        return out
+
     def route(self, plan, requests) -> "list | None":
         """Map a plan's primary-grouped requests to the requests actually
         sent; ``None`` means some bucket is unreachable (abort)."""
-        raise NotImplementedError
+        bids = [int(b) for req in requests for b in req.bucket_ids]
+        return self._regroup(plan, bids)
 
     def failover(self, plan, req) -> "list | None":
         """Re-route one timed-out request's buckets after its target node
         was suspected; ``None`` means no live copy remains (abort)."""
-        raise NotImplementedError
+        return self._regroup(plan, req.bucket_ids)
+
+    # -- observation hooks (no-ops unless the selector keeps its own copies) --
+
+    def query_complete(self, qid: int) -> None:
+        """Query ``qid`` finished (or aborted)."""
+
+    def bucket_added(self, disk: int) -> None:
+        """A grid-file split created a bucket on ``disk``."""
+
+    def bucket_dirty(self, bucket_id: int) -> None:
+        """A write changed the bucket; copies of it are stale."""
+
+    def bucket_removed(self, bucket_id: int, moved_id: "int | None") -> None:
+        """Swap-removal renumbering (mirror of the online driver's
+        bookkeeping)."""
+
+    def primary_moved(self, bucket_id: int, disk: int) -> None:
+        """The online driver shipped the primary copy to ``disk``."""
 
 
 class PrimaryOnlySelector(ReplicaSelector):
@@ -106,19 +138,27 @@ class PrimaryOnlySelector(ReplicaSelector):
 
     name = "primary-only"
 
+    def _choose(self, bucket, failed):
+        # Walk to the effective replica disk (§3.5, degraded; cascaded for
+        # chained).
+        coord = self.pipe.coordinator
+        return effective_disk(
+            int(coord.assignment[bucket]),
+            coord.n_disks,
+            failed,
+            self.pipe.params.replication,
+        )
+
     def route(self, plan, requests):
         pipe = self.pipe
         if not pipe.suspected:
             return requests
         out = []
-        failed = pipe.suspected_disks()
         for req in requests:
             if req.node_id not in pipe.suspected:
                 out.append(req)
                 continue
-            if pipe.params.replication is None:
-                return None
-            rerouted = self._failover(plan, req.bucket_ids, failed)
+            rerouted = self.failover(plan, req)
             if rerouted is None:
                 return None
             pipe.stats.n_failovers += 1
@@ -126,34 +166,18 @@ class PrimaryOnlySelector(ReplicaSelector):
         return out
 
     def failover(self, plan, req):
-        pipe = self.pipe
-        if pipe.params.replication is None:
+        if self.pipe.params.replication is None:
             return None
-        return self._failover(plan, req.bucket_ids, pipe.suspected_disks())
-
-    def _failover(self, plan, bucket_ids, failed) -> "list | None":
-        """Walk each bucket to its effective replica disk (§3.5, degraded;
-        cascaded for chained) and regroup the survivors per node."""
-        coord = self.pipe.coordinator
-        scheme = self.pipe.params.replication
-        return regroup_requests(
-            coord,
-            plan,
-            bucket_ids,
-            lambda b: effective_disk(
-                int(coord.assignment[b]), coord.n_disks, failed, scheme
-            ),
-        )
+        return self._regroup(plan, req.bucket_ids)
 
 
 class _BalancingSelector(ReplicaSelector):
-    """Shared routing for policies that spread reads over live copies."""
+    """Shared routing for policies that spread reads over live copies
+    (they require ``ClusterParams.replication``)."""
 
-    needs_replication = True
-
-    def _choose(self, primary: int, failed: set) -> "int | None":
-        """The disk serving one bucket whose primary copy is ``primary``."""
+    def _choose(self, bucket, failed):
         pipe = self.pipe
+        primary = int(pipe.coordinator.assignment[bucket])
         backup = effective_disk(
             primary, pipe.n_disks, failed | {primary}, pipe.params.replication
         )
@@ -166,24 +190,6 @@ class _BalancingSelector(ReplicaSelector):
 
     def _pick(self, candidates: list, primary: int) -> int:
         raise NotImplementedError
-
-    def _regroup(self, plan, bucket_ids) -> "list | None":
-        """Select a disk per bucket and regroup into per-node requests."""
-        pipe = self.pipe
-        failed = pipe.suspected_disks()
-        return regroup_requests(
-            pipe.coordinator,
-            plan,
-            bucket_ids,
-            lambda b: self._choose(int(pipe.coordinator.assignment[b]), failed),
-        )
-
-    def route(self, plan, requests):
-        bids = [int(b) for req in requests for b in req.bucket_ids]
-        return self._regroup(plan, bids)
-
-    def failover(self, plan, req):
-        return self._regroup(plan, req.bucket_ids)
 
 
 class LeastLoadedSelector(_BalancingSelector):

@@ -2,9 +2,10 @@
 
 :class:`ParallelGridFile` is the user-facing entry point; its run methods
 are thin compositions over :class:`~repro.parallel.engine.pipeline.
-RequestPipeline` — the closed driver keeps ``pipeline_depth`` queries
-outstanding, the open driver hands Poisson arrivals to the admission
-controller.  :func:`ParallelGridFile.simulate_load` models the initial
+RequestPipeline` — the closed driver (:func:`run_closed`, which the elastic
+autoscale driver shares) keeps ``pipeline_depth`` queries outstanding, the
+open driver hands Poisson arrivals to the admission controller.
+:func:`ParallelGridFile.simulate_load` models the initial
 declustered load of §3.5 analytically (no pipeline involved).
 """
 
@@ -26,7 +27,25 @@ from repro.parallel.engine.scheduling import make_scheduler
 from repro.parallel.engine.stats import PerfReport
 from repro.parallel.replication import replica_assignment
 
-__all__ = ["ParallelGridFile", "LoadReport"]
+__all__ = ["ParallelGridFile", "LoadReport", "run_closed"]
+
+
+def run_closed(pipe: RequestPipeline) -> PerfReport:
+    """Drive ``pipe`` as a closed system and report: ``pipeline_depth``
+    queries start at once and each completion submits the next one."""
+    pending = iter(range(len(pipe.queries)))
+
+    def submit_next(_qid=None):
+        qid = next(pending, None)
+        if qid is not None:
+            pipe.submit(qid)
+
+    pipe.on_complete = submit_next
+    for _ in range(max(1, pipe.params.pipeline_depth)):
+        submit_next()
+    with PROFILER.phase("cluster.run"):
+        pipe.sim.run()
+    return pipe.report()
 
 
 class ParallelGridFile:
@@ -98,22 +117,7 @@ class ParallelGridFile:
             default ``None`` the process-wide tracer applies (enabled only
             when ``REPRO_TRACE`` is set — see ``docs/observability.md``).
         """
-        engine = RequestPipeline(self, queries, faults=faults, tracer=tracer)
-        n = len(engine.queries)
-        state = {"next": 0}
-
-        def submit_next(_qid=None):
-            if state["next"] < n:
-                qid = state["next"]
-                state["next"] += 1
-                engine.submit(qid)
-
-        engine.on_complete = submit_next
-        for _ in range(max(1, self.params.pipeline_depth)):
-            submit_next()
-        with PROFILER.phase("cluster.run"):
-            engine.sim.run()
-        return engine.report()
+        return run_closed(RequestPipeline(self, queries, faults=faults, tracer=tracer))
 
     def run_open(
         self, queries, arrival_rate: float, rng=None, faults=None, tracer=None

@@ -184,12 +184,11 @@ class _OnlineDriver:
         )
         if self.durable is not None:
             self.durable.engine.metrics = self.metrics
-        #: Autoscale seam (None unless ``params.autoscale`` is set): query
-        #: completions feed its heat tracker through the pipeline; the
-        #: listener hooks below keep its controller's bucket bookkeeping
-        #: aligned with the live structure (splits, renumbering, moves) and
-        #: invalidate replicas whose content a write changed.
-        self.autoscale = self.pipe.autoscale
+        #: The pipeline's replica selector.  The listener hooks below tell
+        #: it about splits, renumbering, moves and writes; only an autoscale
+        #: policy acts on them (its controller's bucket bookkeeping follows
+        #: the live structure and replicas a write changed are dropped).
+        self.selector = self.pipe.selector
         self.policy: PlacementPolicy = policy
         self.monitor = monitor
         self.assign_list = [int(d) for d in owner.coordinator.assignment]
@@ -202,7 +201,7 @@ class _OnlineDriver:
             self._since_reorg = monitor.cooldown
         self._op_i = 0
         self._next_qid = 0
-        self._pending_new: list[tuple[int, int]] = []
+        self._pending_new: list[int] = []
         self._write_bucket = -1
         self._write_submit = 0.0
         self.rq_ratios: list[float] = []
@@ -326,18 +325,9 @@ class _OnlineDriver:
             send_end + self.net.latency, self._worker_write, op, int(bid), rid, node_id
         )
 
-    def _disk_op(self, disk: int, earliest: float) -> float:
-        """Reserve one block of service on global ``disk``; end time."""
-        dpn = self.params.disks_per_node
-        node = self.nodes[disk // dpn]
-        local = disk % dpn
-        service = node.disk_model.service_time(1, node.disk_slowdown[local])
-        _, end = node.disks[local].reserve(earliest, service)
-        return end
-
     def _worker_write(self, op: Operation, bid: int, rid: int, node_id: int) -> None:
         # Read-modify-write of the target block on its owning disk.
-        end = self._disk_op(self.assign_list[bid], self.sim.now)
+        end = self.pipe.ship_block(self.assign_list[bid], self.sim.now)
         self.sim.schedule_at(end, self._apply_write, op, rid, node_id)
 
     def _apply_write(self, op: Operation, rid: int, node_id: int) -> None:
@@ -356,16 +346,8 @@ class _OnlineDriver:
             self.durable.commit_op()
         end = self.sim.now
         # Freshly split buckets are written out to their assigned disks.
-        for new_id, disk in self._pending_new:
-            src = self.nodes[node_id]
-            dst = self.nodes[disk // self.params.disks_per_node]
-            arrive = end
-            if dst is not src:
-                t = self.net.transfer_time(self.params.disk.block_bytes)
-                _, send_end = src.nic.reserve(end, t)
-                self.pipe.stats.comm_time += t + self.net.latency
-                arrive = send_end + self.net.latency
-            end = self._disk_op(disk, arrive)
+        for disk in self._pending_new:
+            end = self.pipe.ship_block(disk, end, src_node=node_id)
         self._pending_new.clear()
         self._sync_assignment()
         # Policy maintenance: bounded moves to keep the declustering healthy.
@@ -402,18 +384,9 @@ class _OnlineDriver:
 
     def _move_bucket(self, b: int, src: int, dst: int, earliest: float) -> float:
         """Ship bucket ``b`` from disk ``src`` to ``dst``; completion time."""
-        read_end = self._disk_op(src, earliest)
-        dpn = self.params.disks_per_node
-        arrive = read_end
-        if src // dpn != dst // dpn:
-            t = self.net.transfer_time(self.params.disk.block_bytes)
-            _, send_end = self.nodes[src // dpn].nic.reserve(read_end, t)
-            self.pipe.stats.comm_time += t + self.net.latency
-            arrive = send_end + self.net.latency
-        write_end = self._disk_op(dst, arrive)
+        write_end = self.pipe.ship_block(dst, earliest, src=src)
         self.assign_list[b] = dst
-        if self.autoscale is not None:
-            self.autoscale.primary_moved(b, dst)
+        self.selector.primary_moved(b, dst)
         self._invalidate(b, "move")
         if self.trace:
             self.tracer.event(
@@ -484,9 +457,8 @@ class _OnlineDriver:
 
     def on_record(self, gf, bucket_id: int, kind: str) -> None:
         self._write_bucket = bucket_id
-        if self.autoscale is not None:
-            # Write-invalidation coherence: the replica copy went stale.
-            self.autoscale.bucket_dirty(bucket_id)
+        # Write-invalidation coherence: a replica copy went stale.
+        self.selector.bucket_dirty(bucket_id)
         self._invalidate(bucket_id, kind)
 
     def on_split(self, gf, bucket_id: int, new_bucket_id: int) -> None:
@@ -499,10 +471,9 @@ class _OnlineDriver:
                 f"policy {self.policy.name!r} placed bucket on disk {disk}"
             )
         self.assign_list.append(disk)
-        if self.autoscale is not None:
-            self.autoscale.bucket_added(disk)
-            self.autoscale.bucket_dirty(bucket_id)
-        self._pending_new.append((new_bucket_id, disk))
+        self.selector.bucket_added(disk)
+        self.selector.bucket_dirty(bucket_id)
+        self._pending_new.append(disk)
         self.n_splits += 1
         self.metrics.counter("online.splits").inc()
         self._invalidate(bucket_id, "split")
@@ -519,9 +490,8 @@ class _OnlineDriver:
     def on_merge(self, gf, survivor_id: int, absorbed_id: int) -> None:
         self.n_merges += 1
         self.metrics.counter("online.merges").inc()
-        if self.autoscale is not None:
-            self.autoscale.bucket_dirty(survivor_id)
-            self.autoscale.bucket_dirty(absorbed_id)
+        self.selector.bucket_dirty(survivor_id)
+        self.selector.bucket_dirty(absorbed_id)
         self._invalidate(survivor_id, "merge")
         self._invalidate(absorbed_id, "merge")
         if self.trace:
@@ -535,8 +505,7 @@ class _OnlineDriver:
 
     def on_remove(self, gf, bucket_id: int, moved_id: "int | None") -> None:
         # Swap-removal renumbering: the last bucket takes over ``bucket_id``.
-        if self.autoscale is not None:
-            self.autoscale.bucket_removed(bucket_id, moved_id)
+        self.selector.bucket_removed(bucket_id, moved_id)
         if moved_id is None:
             self.assign_list.pop()
         else:

@@ -338,7 +338,8 @@ def test_make_autoscale_policy_type_checks():
         make_autoscale_policy(42)
     p = make_autoscale_policy(AutoscaleParams(policy="static"))
     assert p.name == "static"
-    assert make_autoscale_policy("null").name == "null"
+    # "null" resolves to no policy: the pipeline keeps its plain selector.
+    assert make_autoscale_policy("null") is None
 
 
 def test_engine_params_reject_conflicting_replication(deployment):
@@ -496,7 +497,7 @@ def test_online_run_with_autoscale():
     driver.drive()
     rep = driver.online_report()
     assert rep.n_splits > 0  # the structure actually churned
-    policy = driver.autoscale
+    policy = driver.selector
     policy.ctl.check_invariants()
     assert len(policy.ctl.assignment) == gf.n_buckets
 

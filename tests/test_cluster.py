@@ -211,3 +211,44 @@ class TestLoadReportImbalance:
 
     def test_single_zero_node(self):
         assert self._report([0]).imbalance == 1.0
+
+
+class TestShipBlock:
+    """``RequestPipeline.ship_block``: the one simulated block-copy charge."""
+
+    @pytest.fixture
+    def pipe(self, small_gridfile):
+        from repro.parallel import RequestPipeline
+
+        a = Minimax().assign(small_gridfile, 4, rng=0)
+        pgf = ParallelGridFile(small_gridfile, a, 4, ClusterParams(disks_per_node=2))
+        return RequestPipeline(pgf, [])
+
+    def _costs(self, pipe):
+        params = pipe.params
+        return params.disk.service_time(1), (
+            pipe.net.transfer_time(params.disk.block_bytes) + pipe.net.latency
+        )
+
+    def test_local_write_alone(self, pipe):
+        disk, _ = self._costs(pipe)
+        assert pipe.ship_block(3, 0.5) == pytest.approx(0.5 + disk)
+        assert pipe.stats.comm_time == 0.0
+
+    def test_copy_within_a_node_skips_the_network(self, pipe):
+        disk, _ = self._costs(pipe)
+        # Disks 0 and 1 share node 0: read then write, no NIC transfer.
+        assert pipe.ship_block(1, 0.0, src=0) == pytest.approx(2 * disk)
+        assert pipe.stats.comm_time == 0.0
+
+    def test_copy_across_nodes_pays_the_network(self, pipe):
+        disk, wire = self._costs(pipe)
+        assert pipe.ship_block(2, 0.0, src=0) == pytest.approx(2 * disk + wire)
+        assert pipe.stats.comm_time == pytest.approx(wire)
+
+    def test_source_node_without_a_read(self, pipe):
+        disk, wire = self._costs(pipe)
+        assert pipe.ship_block(1, 0.0, src_node=0) == pytest.approx(disk)
+        assert pipe.stats.comm_time == 0.0
+        assert pipe.ship_block(2, 0.0, src_node=0) == pytest.approx(wire + disk)
+        assert pipe.stats.comm_time == pytest.approx(wire)
